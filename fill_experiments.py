@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Fold measured [tableN] rows from bench_output.txt into EXPERIMENTS.md."""
-import re
+import os
 
-with open("/root/repo/bench_output.txt") as f:
+ROOT = os.path.dirname(os.path.abspath(__file__))
+
+with open(os.path.join(ROOT, "bench_output.txt")) as f:
     out = f.read()
 
 def rows(tag):
     return "\n".join(l[l.index(f"[{tag}]"):] for l in out.splitlines() if f"[{tag}]" in l and "paper" not in l[:6])
 
-with open("/root/repo/EXPERIMENTS.md") as f:
+with open(os.path.join(ROOT, "EXPERIMENTS.md")) as f:
     md = f.read()
 
 for tag, marker in [("table4", "TABLE4_MEASURED"), ("table5", "TABLE5_MEASURED"),
@@ -17,6 +19,6 @@ for tag, marker in [("table4", "TABLE4_MEASURED"), ("table5", "TABLE5_MEASURED")
     block = "```\n" + rows(tag) + "\n```"
     md = md.replace(f"<!-- {marker} -->", block)
 
-with open("/root/repo/EXPERIMENTS.md", "w") as f:
+with open(os.path.join(ROOT, "EXPERIMENTS.md"), "w") as f:
     f.write(md)
 print("filled")

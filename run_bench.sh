@@ -1,5 +1,5 @@
 #!/bin/bash
-# Runs the full bench suite; output lands in /root/repo/bench_output.txt
-cd /root/repo
-sbt -batch "bench/test" > /root/repo/bench_output.txt 2>&1
-echo "EXIT=$?" >> /root/repo/bench_output.txt
+# Runs the full bench suite; output lands in bench_output.txt next to this script.
+cd "$(dirname "$0")"
+sbt -batch "bench/test" > bench_output.txt 2>&1
+echo "EXIT=$?" >> bench_output.txt

@@ -72,14 +72,6 @@ object ActiveLearner {
     (Seq.fill(reps)(posEx).flatten ++ negEx).toIndexedSeq
   }
 
-  private def trainFresh(cfg: VaerConfig, vae: VaeModel, irs: IrSet,
-                         pos: Seq[(Long, Long)], neg: Seq[(Long, Long)], rng: Rng): Siamese = {
-    val m = new Siamese(cfg, irs.arity, rng.split())
-    m.initFromVae(vae)
-    m.train(examples(irs, pos, neg), rng.split())
-    m
-  }
-
   /** Run AL to a label budget; `oracle` returns the true label of a pair. */
   def run(cfg: VaerConfig,
           vae: VaeModel,
@@ -95,7 +87,8 @@ object ActiveLearner {
     var u    = bootstrap.unlabeled.toVector
     var used = 0
 
-    var matcher = trainFresh(cfg, vae, irs, lPos, lNeg, rng)
+    def trainFresh(): Siamese = Siamese.fit(cfg, irs.arity, vae, examples(irs, lPos, lNeg), rng)
+    var matcher = trainFresh()
     val perCrit = math.max(1, cfg.alSamplesPerIter / 4)
 
     // cache the deterministic candidate distances once
@@ -143,7 +136,7 @@ object ActiveLearner {
       val batchSet = batch.toSet
       u = u.filterNot(batchSet)
 
-      matcher = trainFresh(cfg, vae, irs, lPos, lNeg, rng)
+      matcher = trainFresh()
     }
     AlResult(matcher, used, lPos, lNeg)
   }

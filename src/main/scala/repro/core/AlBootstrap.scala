@@ -59,7 +59,11 @@ object AlBootstrap {
     val band  = bandFraction * math.max(wMax - wMin, 1e-12)
 
     val posRaw = withDist.takeWhile(_._2 <= wMin + band).take(maxSeeds).map(_._1)
-    val neg    = withDist.reverse.takeWhile(_._2 >= wMax - band).take(maxSeeds).map(_._1)
+    // When every candidate ties, both bands cover the whole pool; a pair
+    // already taken as a positive is never also a negative.
+    val posSet = posRaw.toSet
+    val neg    = withDist.reverse.takeWhile(_._2 >= wMax - band).map(_._1)
+      .filterNot(posSet).take(maxSeeds)
 
     val (pos, removed) = verifyPos match {
       case Some(check) =>

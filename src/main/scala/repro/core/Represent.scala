@@ -11,42 +11,24 @@ import repro.nn.Mat
   */
 object Represent {
 
-  /** Encode one IR set with a VAE; arityOverride pads/truncates to the
-    * arity a *transferred* model expects (§VI-D: "use the first a columns
-    * and pad with empty columns").
+  /** Encode one IR set with a VAE. A transferred model that expects a
+    * different arity takes `irs.withArity(a)` (§VI-D).
     */
-  def encodeAll(vae: VaeModel, irs: IrSet, arityOverride: Int = -1): Map[(String, Long), TupleRepr] = {
-    val arity = if (arityOverride > 0) arityOverride else irs.arity
-    val keys  = irs.irs.keys.toIndexedSeq
-    val dim   = irs.dim
-    val zero  = new Array[Double](dim)
-
+  def encodeAll(vae: VaeModel, irs: IrSet): Map[(String, Long), TupleRepr] = {
+    val keys = irs.irs.keys.toIndexedSeq
     // attribute i of every tuple as one batch
-    val perAttr = (0 until arity).map { ai =>
-      val x = Mat.fromRows(keys.map { k =>
-        val attrs = irs.irs(k)
-        if (ai < attrs.length) attrs(ai) else zero
-      })
-      vae.encodeBatch(x)
-    }
-
+    val perAttr = (0 until irs.arity).map(ai => vae.encodeBatch(Mat.fromRows(keys.map(k => irs.irs(k)(ai)))))
     keys.zipWithIndex.map { case (k, row) =>
-      val mu  = Array.tabulate(arity)(ai => perAttr(ai)._1.row(row))
-      val sig = Array.tabulate(arity)(ai => perAttr(ai)._2.row(row))
-      k -> TupleRepr(mu, sig)
+      k -> TupleRepr(perAttr.map(_._1.row(row)).toArray, perAttr.map(_._2.row(row)).toArray)
     }.toMap
   }
 
   /** IRs themselves as degenerate representations (μ = IR, σ = 0) — the
     * left-hand-side baselines of Table IV search raw IRs.
     */
-  def irAsRepr(irs: IrSet, arityOverride: Int = -1): Map[(String, Long), TupleRepr] = {
-    val arity = if (arityOverride > 0) arityOverride else irs.arity
-    val dim   = irs.dim
-    val zero  = new Array[Double](dim)
+  def irAsRepr(irs: IrSet): Map[(String, Long), TupleRepr] =
     irs.irs.map { case (k, attrs) =>
-      val mu = Array.tabulate(arity)(ai => if (ai < attrs.length) attrs(ai).clone() else zero.clone())
+      val mu = attrs.map(_.clone())
       k -> TupleRepr(mu, mu.map(v => new Array[Double](v.length)))
     }
-  }
 }

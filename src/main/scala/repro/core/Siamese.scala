@@ -16,37 +16,27 @@ final case class PairExample(sIrs: Array[Array[Double]], tIrs: Array[Array[Doubl
   * Eq. 4: binary cross-entropy + margin term on per-attribute W2².
   */
 final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Module {
-  val encHidden: Dense = new Dense(cfg.irDim, cfg.hidden, rng, "relu", "senc.h")
-  val encMu: Dense     = new Dense(cfg.hidden, cfg.latent, rng, "linear", "senc.mu")
-  val encLv: Dense     = new Dense(cfg.hidden, cfg.latent, rng, "linear", "senc.lv")
-  val classifier: Mlp  = new Mlp(
+  val encoder: VariationalEncoder = new VariationalEncoder(cfg, rng)
+  val classifier: Mlp = new Mlp(
     Seq(arity * cfg.latent, cfg.matchHidden, 1), Seq("relu", "linear"), rng, "match")
 
-  override def params: Seq[Param] =
-    Seq(encHidden, encMu, encLv).flatMap(_.params) ++ classifier.params
+  override def params: Seq[Param] = encoder.params ++ classifier.params
 
   /** Transfer the unsupervised encoder weights (the paper's initialization). */
-  def initFromVae(vae: VaeModel): Unit = {
-    encHidden.w.value = vae.encHidden.w.value.copy(); encHidden.b.value = vae.encHidden.b.value.copy()
-    encMu.w.value     = vae.encMu.w.value.copy();     encMu.b.value     = vae.encMu.b.value.copy()
-    encLv.w.value     = vae.encLv.w.value.copy();     encLv.b.value     = vae.encLv.b.value.copy()
-  }
-
-  private def encode(t: Tape, x: Node): (Node, Node) = {
-    val h  = encHidden(t, x)
-    val mu = encMu(t, h)
-    val sigma = t.exp(t.scale(encLv(t, h), 0.5))
-    (mu, sigma)
-  }
+  def initFromVae(vae: VaeModel): Unit = encoder.restore(vae.encoder.snapshot())
 
   /** Build the pair-batch graph; returns (sigmoid probabilities B x 1,
     * per-attribute scalar W2² nodes B x 1).
     */
   def forward(t: Tape, sBatches: IndexedSeq[Mat], tBatches: IndexedSeq[Mat]): (Node, IndexedSeq[Node]) = {
     val ones = t.const(new Mat(cfg.latent, 1, Array.fill(cfg.latent)(1.0)))
+    def encode(x: Mat): (Node, Node) = {
+      val (mu, lv) = encoder(t, t.const(x))
+      (mu, encoder.sigma(t, lv))
+    }
     val (distVecs, w2s) = (0 until arity).map { ai =>
-      val (muS, sigS) = encode(t, t.const(sBatches(ai)))
-      val (muT, sigT) = encode(t, t.const(tBatches(ai)))
+      val (muS, sigS) = encode(sBatches(ai))
+      val (muT, sigT) = encode(tBatches(ai))
       val dv = t.add(t.square(t.sub(muS, muT)), t.square(t.sub(sigS, sigT)))
       (dv, t.matmul(dv, ones))
     }.unzip
@@ -81,68 +71,43 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
     * steps — AL iterations train on pools of a few dozen pairs, where a
     * fixed epoch count would mean a handful of Adam updates.
     */
-  def train(pairs: IndexedSeq[PairExample], rng: Rng, epochs: Int = -1): Seq[Double] = {
+  def train(pairs: IndexedSeq[PairExample], rng: Rng): Seq[Double] = {
     require(pairs.nonEmpty, "no training pairs")
-    val requested = if (epochs > 0) epochs else cfg.matchEpochs
-    val batchesPerEpoch = math.max(1, (pairs.length + cfg.matchBatch - 1) / cfg.matchBatch)
-    val eps = math.max(requested, (cfg.matchMinSteps + batchesPerEpoch - 1) / batchesPerEpoch)
+    val batchesPerEpoch = (pairs.length + cfg.matchBatch - 1) / cfg.matchBatch
+    val epochs = math.max(cfg.matchEpochs, (cfg.matchMinSteps + batchesPerEpoch - 1) / batchesPerEpoch)
     val adam = new Adam(cfg.lr)
-    val idx  = Array.tabulate(pairs.length)(identity)
-    (0 until eps).map { _ =>
-      rng.shuffle(idx)
-      var i = 0
-      var sum = 0.0; var batches = 0
-      while (i < idx.length) {
-        val end   = math.min(i + cfg.matchBatch, idx.length)
-        val chunk = (i until end).map(j => pairs(idx(j)))
-        val sB = IndexedSeq.tabulate(arity)(ai => Mat.fromRows(chunk.map(_.sIrs(ai))))
-        val tB = IndexedSeq.tabulate(arity)(ai => Mat.fromRows(chunk.map(_.tIrs(ai))))
-        val t  = new Tape
-        val (prob, w2s) = forward(t, sB, tB)
-        val loss = lossNode(t, prob, w2s, chunk.map(_.label.toDouble).toArray)
-        t.backward(loss)
-        adam.step(params)
-        sum += loss.value.data(0); batches += 1
-        i = end
-      }
-      if (batches == 0) 0.0 else sum / batches
+    Minibatch.run(pairs, cfg.matchBatch, epochs, rng) { chunk =>
+      val sB = IndexedSeq.tabulate(arity)(ai => Mat.fromRows(chunk.map(_.sIrs(ai))))
+      val tB = IndexedSeq.tabulate(arity)(ai => Mat.fromRows(chunk.map(_.tIrs(ai))))
+      val t  = new Tape
+      val (prob, w2s) = forward(t, sB, tB)
+      val loss = lossNode(t, prob, w2s, chunk.map(_.label.toDouble).toArray)
+      t.backward(loss)
+      adam.step(params)
+      loss.value.data(0)
     }
   }
 
-  /** Inference: match probability for each pair (no tape, raw Mat ops). */
+  /** Inference: match probability for each pair, without a tape. */
   def predict(pairs: IndexedSeq[PairExample]): Array[Double] = {
     if (pairs.isEmpty) return Array.empty
-    def enc(x: Mat): (Mat, Mat) = {
-      val h  = (x * encHidden.w.value).addRowVector(encHidden.b.value).map(v => if (v > 0) v else 0.0)
-      val mu = (h * encMu.w.value).addRowVector(encMu.b.value)
-      val lv = (h * encLv.w.value).addRowVector(encLv.b.value)
-      (mu, lv.map(v => math.exp(0.5 * v)))
-    }
     val feats = (0 until arity).map { ai =>
-      val (muS, sigS) = enc(Mat.fromRows(pairs.map(_.sIrs(ai))))
-      val (muT, sigT) = enc(Mat.fromRows(pairs.map(_.tIrs(ai))))
+      val (muS, sigS) = encoder.infer(Mat.fromRows(pairs.map(_.sIrs(ai))))
+      val (muT, sigT) = encoder.infer(Mat.fromRows(pairs.map(_.tIrs(ai))))
       val dm = muS - muT; val ds = sigS - sigT
       dm.hadamard(dm) + ds.hadamard(ds)
     }
-    // concat features then run classifier layers
-    val b     = pairs.length
-    val width = arity * cfg.latent
-    val f     = Mat.zeros(b, width)
-    feats.zipWithIndex.foreach { case (m, ai) =>
-      var i = 0
-      while (i < b) { System.arraycopy(m.data, i * cfg.latent, f.data, i * width + ai * cfg.latent, cfg.latent); i += 1 }
-    }
-    val h1 = (f * classifier.layers(0).w.value).addRowVector(classifier.layers(0).b.value)
-      .map(v => if (v > 0) v else 0.0)
-    val z  = (h1 * classifier.layers(1).w.value).addRowVector(classifier.layers(1).b.value)
-    z.data.map(v => 1.0 / (1.0 + math.exp(-v)))
+    classifier.infer(Mat.concatCols(feats)).data.map(v => 1.0 / (1.0 + math.exp(-v)))
   }
+}
 
-  /** Encode with the (fine-tuned) Siamese encoder — used by transfer tests. */
-  def encodeBatch(x: Mat): (Mat, Mat) = {
-    val h  = (x * encHidden.w.value).addRowVector(encHidden.b.value).map(v => if (v > 0) v else 0.0)
-    val mu = (h * encMu.w.value).addRowVector(encMu.b.value)
-    val lv = (h * encLv.w.value).addRowVector(encLv.b.value)
-    (mu, lv.map(v => math.exp(0.5 * v)))
+object Siamese {
+
+  /** Figure 1, step 2: a matcher initialized from `vae`'s encoder, then trained on `examples`. */
+  def fit(cfg: VaerConfig, arity: Int, vae: VaeModel, examples: IndexedSeq[PairExample], rng: Rng): Siamese = {
+    val m = new Siamese(cfg, arity, rng.split())
+    m.initFromVae(vae)
+    m.train(examples, rng.split())
+    m
   }
 }

@@ -11,46 +11,25 @@ import repro.nn._
   * SSE + KL(q(z|IR) ‖ N(0, I)) (Eq. 2).
   */
 final class VaeModel(val cfg: VaerConfig, rng: Rng) extends Module {
-  val encHidden: Dense = new Dense(cfg.irDim, cfg.hidden, rng, "relu", "enc.h")
-  val encMu: Dense     = new Dense(cfg.hidden, cfg.latent, rng, "linear", "enc.mu")
-  val encLv: Dense     = new Dense(cfg.hidden, cfg.latent, rng, "linear", "enc.lv")
-  val decHidden: Dense = new Dense(cfg.latent, cfg.hidden, rng, "relu", "dec.h")
-  val decOut: Dense    = new Dense(cfg.hidden, cfg.irDim, rng, "linear", "dec.out")
+  val encoder: VariationalEncoder = new VariationalEncoder(cfg, rng)
+  val decoder: Mlp = new Mlp(Seq(cfg.latent, cfg.hidden, cfg.irDim), Seq("relu", "linear"), rng, "dec")
 
-  override def params: Seq[Param] =
-    Seq(encHidden, encMu, encLv, decHidden, decOut).flatMap(_.params)
-
-  def encoderParams: Seq[Param] = Seq(encHidden, encMu, encLv).flatMap(_.params)
-
-  /** Tape-building encoder pass: returns (mu, logVar) nodes. */
-  def encodeNode(t: Tape, x: Node): (Node, Node) = {
-    val h = encHidden(t, x)
-    (encMu(t, h), encLv(t, h))
-  }
+  override def params: Seq[Param] = encoder.params ++ decoder.params
 
   /** Deterministic batch encode with current weights: (mu, sigma) matrices. */
-  def encodeBatch(x: Mat): (Mat, Mat) = {
-    val h  = (x * encHidden.w.value).addRowVector(encHidden.b.value).map(v => if (v > 0) v else 0.0)
-    val mu = (h * encMu.w.value).addRowVector(encMu.b.value)
-    val lv = (h * encLv.w.value).addRowVector(encLv.b.value)
-    (mu, lv.map(v => math.exp(0.5 * v)))
-  }
+  def encodeBatch(x: Mat): (Mat, Mat) = encoder.infer(x)
 
   /** Deterministic batch decode (for reconstruction tests). */
-  def decodeBatch(z: Mat): Mat = {
-    val h = (z * decHidden.w.value).addRowVector(decHidden.b.value).map(v => if (v > 0) v else 0.0)
-    (h * decOut.w.value).addRowVector(decOut.b.value)
-  }
+  def decodeBatch(z: Mat): Mat = decoder.infer(z)
 
   /** One training step on a minibatch of IRs; returns (total, recon, kl) losses. */
   def step(batch: Mat, adam: Adam, noise: Rng, klWeight: Double = 1.0): (Double, Double, Double) = {
     val t = new Tape
     val x = t.const(batch)
-    val (mu, lv) = encodeNode(t, x)
+    val (mu, lv) = encoder(t, x)
     val eps   = t.const(Mat.randn(batch.rows, cfg.latent, noise))
-    val sigma = t.exp(t.scale(lv, 0.5))
-    val z     = t.add(mu, t.mul(sigma, eps))
-    val recon = decOut(t, decHidden(t, z))
+    val z     = t.add(mu, t.mul(encoder.sigma(t, lv), eps))
+    val recon = decoder(t, z)
 
     val reconLoss = t.sumAll(t.square(t.sub(recon, x)))
     // KL(N(mu, sigma) || N(0, I)) = -0.5 * sum(1 + lv - mu^2 - exp(lv))
@@ -64,28 +43,8 @@ final class VaeModel(val cfg: VaerConfig, rng: Rng) extends Module {
   }
 
   /** Full training loop over a sample set of IRs; returns per-epoch mean loss. */
-  def train(samples: IndexedSeq[Array[Double]], rng: Rng,
-            epochs: Int = -1, klWeight: Double = 1.0): Seq[Double] = {
-    val eps    = if (epochs > 0) epochs else cfg.vaeEpochs
-    val adam   = new Adam(cfg.lr)
-    val idx    = Array.tabulate(samples.length)(identity)
-    val losses = Array.fill(eps)(0.0)
-    var e = 0
-    while (e < eps) {
-      rng.shuffle(idx)
-      var i = 0
-      var sum = 0.0
-      var batches = 0
-      while (i < idx.length) {
-        val end   = math.min(i + cfg.vaeBatch, idx.length)
-        val batch = Mat.fromRows((i until end).map(j => samples(idx(j))))
-        val (l, _, _) = step(batch, adam, rng, klWeight)
-        sum += l; batches += 1
-        i = end
-      }
-      losses(e) = if (batches == 0) 0.0 else sum / batches
-      e += 1
-    }
-    losses.toSeq
+  def train(samples: IndexedSeq[Array[Double]], rng: Rng, klWeight: Double = 1.0): Seq[Double] = {
+    val adam = new Adam(cfg.lr)
+    Minibatch.run(samples, cfg.vaeBatch, cfg.vaeEpochs, rng)(b => step(Mat.fromRows(b), adam, rng, klWeight)._1)
   }
 }

@@ -39,13 +39,8 @@ object Vaer {
 
   /** Step 2 of Figure 1: Siamese matcher initialized from the VAE encoder. */
   def trainMatcher(vae: VaeModel, irs: IrSet, trainPairs: Seq[LabeledPair],
-                   cfg: VaerConfig, seed: Long = 0x51AL): Siamese = {
-    val rng = new Rng(seed)
-    val m   = new Siamese(cfg, irs.arity, rng.split())
-    m.initFromVae(vae)
-    m.train(toExamples(irs, trainPairs), rng.split())
-    m
-  }
+                   cfg: VaerConfig, seed: Long = 0x51AL): Siamese =
+    Siamese.fit(cfg, irs.arity, vae, toExamples(irs, trainPairs), new Rng(seed))
 
   /** Classify labeled pairs at threshold 0.5 and score them. */
   def evaluateMatcher(matcher: Siamese, irs: IrSet, testPairs: Seq[LabeledPair]): Prf = {

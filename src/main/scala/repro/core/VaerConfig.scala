@@ -19,5 +19,4 @@ final case class VaerConfig(
     alSamplesPerIter: Int = 10, // paper: 10
     topK: Int = 10,             // paper: K = 10
     kdeSamplesPerPair: Int = 100,
-    seed: Long = 7L,
 )

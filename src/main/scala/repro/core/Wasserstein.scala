@@ -5,20 +5,7 @@ package repro.core
   */
 object Wasserstein {
 
-  /** Element-wise distance vector `(μs−μt)² + (σs−σt)²` (the Distance layer). */
-  def vector(muS: Array[Double], sigS: Array[Double],
-             muT: Array[Double], sigT: Array[Double]): Array[Double] = {
-    val out = new Array[Double](muS.length)
-    var i = 0
-    while (i < out.length) {
-      val dm = muS(i) - muT(i); val ds = sigS(i) - sigT(i)
-      out(i) = dm * dm + ds * ds
-      i += 1
-    }
-    out
-  }
-
-  /** Scalar W2² (sum of the distance vector). */
+  /** Scalar W2² of one attribute. */
   def w2sq(muS: Array[Double], sigS: Array[Double],
            muT: Array[Double], sigT: Array[Double]): Double = {
     var s = 0.0

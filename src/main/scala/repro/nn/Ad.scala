@@ -156,18 +156,9 @@ final class Tape {
 
   /** Horizontal concatenation of same-row-count nodes. */
   def concatCols(parts: Seq[Node]): Node = {
-    require(parts.nonEmpty, "concatCols of nothing")
-    val rows = parts.head.value.rows
-    require(parts.forall(_.value.rows == rows), "concatCols row mismatch")
-    val total = parts.map(_.value.cols).sum
-    val out   = Mat.zeros(rows, total)
-    var off = 0
-    parts.foreach { p =>
-      val c = p.value.cols
-      var i = 0
-      while (i < rows) { System.arraycopy(p.value.data, i * c, out.data, i * total + off, c); i += 1 }
-      off += c
-    }
+    val out   = Mat.concatCols(parts.map(_.value))
+    val rows  = out.rows
+    val total = out.cols
     record(out) { n =>
       var o = 0
       parts.foreach { p =>

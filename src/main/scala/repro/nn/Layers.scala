@@ -31,6 +31,18 @@ final class Dense(val in: Int, val out: Int, rng: Rng,
     }
   }
 
+  /** Tape-free forward pass with the current weights; equals `apply`'s value. */
+  def infer(x: Mat): Mat = {
+    val z = (x * w.value).addRowVector(b.value)
+    activation match {
+      case "linear"  => z
+      case "relu"    => z.map(v => if (v > 0) v else 0.0)
+      case "sigmoid" => z.map(v => 1.0 / (1.0 + math.exp(-v)))
+      case "tanh"    => z.map(math.tanh)
+      case other     => throw new IllegalArgumentException(s"unknown activation $other")
+    }
+  }
+
   override def params: Seq[Param] = Seq(w, b)
 }
 
@@ -44,6 +56,8 @@ final class Mlp(sizes: Seq[Int], activations: Seq[String], rng: Rng, name: Strin
   }
 
   def apply(t: Tape, x: Node): Node = layers.foldLeft(x)((h, l) => l(t, h))
+
+  def infer(x: Mat): Mat = layers.foldLeft(x)((h, l) => l.infer(h))
 
   override def params: Seq[Param] = layers.flatMap(_.params)
 }

@@ -166,6 +166,22 @@ object Mat {
     new Mat(rows.length, c, out)
   }
 
+  /** Horizontal concatenation of same-row-count matrices. */
+  def concatCols(parts: Seq[Mat]): Mat = {
+    require(parts.nonEmpty, "concatCols of nothing")
+    val rows = parts.head.rows
+    require(parts.forall(_.rows == rows), "concatCols row mismatch")
+    val total = parts.map(_.cols).sum
+    val out   = zeros(rows, total)
+    var off = 0
+    parts.foreach { p =>
+      var i = 0
+      while (i < rows) { System.arraycopy(p.data, i * p.cols, out.data, i * total + off, p.cols); i += 1 }
+      off += p.cols
+    }
+    out
+  }
+
   def rowVector(values: Array[Double]): Mat = new Mat(1, values.length, values.clone())
 
   /** Gaussian init scaled by `std` (He/Xavier chosen by the caller). */

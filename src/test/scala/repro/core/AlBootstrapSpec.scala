@@ -50,6 +50,15 @@ class AlBootstrapSpec extends SparkSpec {
     assert(b.removedFalsePositives == unverified.pos.count(p => !truth.contains(p)))
   }
 
+  test("a pair is never both a seed positive and a seed negative") {
+    // one identical A/B tuple: the only candidate ties with itself, so both
+    // W2 bands cover the whole pool
+    val r = TupleRepr(Array(Array(0.5, -0.5)), Array(Array(0.1, 0.1)))
+    val b = AlBootstrap.run(spark, Map(("A", 0L) -> r, ("B", 0L) -> r), k = 1)
+    assert(b.pos == Seq((0L, 0L)))
+    assert(b.neg.isEmpty, s"neg=${b.neg}")
+  }
+
   test("W2 ordering holds: every seed positive closer than every seed negative") {
     val b = AlBootstrap.run(spark, reprs, k = 5)
     val maxPos = b.pos.map(p => Wasserstein.tupleW2sq(reprs(("A", p._1)), reprs(("B", p._2)))).max

@@ -38,13 +38,13 @@ class RepresentSpec extends AnyFunSuite {
 
   test("arity override truncates wider tuples") {
     val vae = new VaeModel(cfg, new Rng(4))
-    val reprs = Represent.encodeAll(vae, irSet(5), arityOverride = 2)
+    val reprs = Represent.encodeAll(vae, irSet(5).withArity(2))
     assert(reprs.values.head.arity == 2)
   }
 
   test("arity override pads narrower tuples with empty-column encodings") {
     val vae = new VaeModel(cfg, new Rng(5))
-    val reprs = Represent.encodeAll(vae, irSet(2), arityOverride = 4)
+    val reprs = Represent.encodeAll(vae, irSet(2).withArity(4))
     assert(reprs.values.head.arity == 4)
     // padded attributes are the encoding of the zero IR — identical across tuples
     val p1 = reprs(("A", 0L)).mu(3).toSeq

@@ -47,11 +47,16 @@ class SiameseSpec extends AnyFunSuite {
     val vae = new VaeModel(cfg, rng.split())
     val m   = new Siamese(cfg, 2, rng.split())
     m.initFromVae(vae)
-    assert(m.encHidden.w.value.data.toSeq == vae.encHidden.w.value.data.toSeq)
-    assert(m.encMu.w.value.data.toSeq == vae.encMu.w.value.data.toSeq)
+    assert(m.encoder.hidden.w.value.data.toSeq == vae.encoder.hidden.w.value.data.toSeq)
+    assert(m.encoder.mu.w.value.data.toSeq == vae.encoder.mu.w.value.data.toSeq)
+    val x = repro.nn.Mat.randn(5, 8, new Rng(15))
+    val (muM, sigM) = m.encoder.infer(x)
+    val (muV, sigV) = vae.encodeBatch(x)
+    assert(muM.data.toSeq == muV.data.toSeq)
+    assert(sigM.data.toSeq == sigV.data.toSeq)
     // mutation must not leak back into the VAE
-    m.encHidden.w.value.data(0) += 1.0
-    assert(m.encHidden.w.value.data(0) != vae.encHidden.w.value.data(0))
+    m.encoder.hidden.w.value.data(0) += 1.0
+    assert(m.encoder.hidden.w.value.data(0) != vae.encoder.hidden.w.value.data(0))
   }
 
   test("predict agrees with the tape forward pass") {
@@ -89,8 +94,8 @@ class SiameseSpec extends AnyFunSuite {
     def meanW2(label: Int): Double = {
       val sel = pairs.filter(_.label == label)
       sel.map { ex =>
-        val (muS, sigS) = m.encodeBatch(repro.nn.Mat.fromRows(Seq(ex.sIrs(0))))
-        val (muT, sigT) = m.encodeBatch(repro.nn.Mat.fromRows(Seq(ex.tIrs(0))))
+        val (muS, sigS) = m.encoder.infer(repro.nn.Mat.fromRows(Seq(ex.sIrs(0))))
+        val (muT, sigT) = m.encoder.infer(repro.nn.Mat.fromRows(Seq(ex.tIrs(0))))
         Wasserstein.w2sq(muS.row(0), sigS.row(0), muT.row(0), sigT.row(0))
       }.sum / sel.length
     }

@@ -37,7 +37,7 @@ class VaeModelSpec extends AnyFunSuite {
     // replicate the step's KL computation symbolically
     val t = new repro.nn.Tape
     val x = t.const(batch)
-    val (muN, lvN) = vae.encodeNode(t, x)
+    val (muN, lvN) = vae.encoder(t, x)
     val klInner = t.sub(t.sub(t.addConst(lvN, 1.0), t.square(muN)), t.exp(lvN))
     val kl = t.scale(t.sumAll(klInner), -0.5)
     assert(math.abs(kl.value.data(0) - expected) < 1e-8)

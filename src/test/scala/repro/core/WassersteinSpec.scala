@@ -22,12 +22,6 @@ class WassersteinSpec extends AnyFunSuite {
     assert(Wasserstein.w2sq(a._1, a._2, b._1, b._2) == Wasserstein.w2sq(b._1, b._2, a._1, a._2))
   }
 
-  test("vector sums to the scalar distance") {
-    val v = Wasserstein.vector(Array(1.0, 2.0), Array(0.5, 0.5), Array(0.0, 0.0), Array(1.0, 1.0))
-    assert(math.abs(v.sum - 5.5) < 1e-12)
-    assert(v.length == 2)
-  }
-
   test("tuple distance sums attribute distances") {
     val r1 = TupleRepr(Array(Array(1.0), Array(2.0)), Array(Array(0.0), Array(0.0)))
     val r2 = TupleRepr(Array(Array(0.0), Array(0.0)), Array(Array(0.0), Array(0.0)))

@@ -17,6 +17,22 @@ class LayersSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](d(t, t.const(Mat.zeros(1, 2))))
   }
 
+  test("Dense.infer equals the tape forward pass for every activation") {
+    val x = Mat.randn(5, 3, new Rng(2))
+    Seq("linear", "relu", "sigmoid", "tanh").foreach { act =>
+      val d = new Dense(3, 4, new Rng(1), act)
+      val t = new Tape
+      assert(d.infer(x).data.toSeq == d(t, t.const(x)).value.data.toSeq, act)
+    }
+  }
+
+  test("Mlp.infer equals Mlp.apply") {
+    val mlp = new Mlp(Seq(3, 6, 2), Seq("relu", "linear"), new Rng(4))
+    val x = Mat.randn(5, 3, new Rng(5))
+    val t = new Tape
+    assert(mlp.infer(x).data.toSeq == mlp(t, t.const(x)).value.data.toSeq)
+  }
+
   test("Mlp validates sizes/activations arity") {
     intercept[IllegalArgumentException](new Mlp(Seq(2, 3), Seq("relu", "relu"), new Rng(1)))
   }
