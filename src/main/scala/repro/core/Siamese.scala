@@ -27,21 +27,25 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
 
   /** Build the pair-batch graph; returns (sigmoid probabilities B x 1,
     * per-attribute scalar W2² nodes B x 1).
+    *
+    * The encoder is shared across attributes and towers, so all 2·arity
+    * attribute batches go through it as one stacked matrix — rows s₀ … s₍ₐ₋₁₎
+    * then t₀ … t₍ₐ₋₁₎ — and each encoder output row depends only on its input
+    * row.
     */
   def forward(t: Tape, sBatches: IndexedSeq[Mat], tBatches: IndexedSeq[Mat]): (Node, IndexedSeq[Node]) = {
+    val b = sBatches.head.rows
+    val (mu, lv) = encoder(t, t.const(Mat.concatRows(sBatches ++ tBatches)))
+    val sigma = encoder.sigma(t, lv)
+    def side(n: Node, first: Int): Node = t.sliceRows(n, first * b, (first + arity) * b)
+    // (μs−μt)² + (σs−σt)² for every attribute at once: arity·B x latent
+    val dist = t.add(t.square(t.sub(side(mu, 0), side(mu, arity))),
+                     t.square(t.sub(side(sigma, 0), side(sigma, arity))))
     val ones = t.const(new Mat(cfg.latent, 1, Array.fill(cfg.latent)(1.0)))
-    def encode(x: Mat): (Node, Node) = {
-      val (mu, lv) = encoder(t, t.const(x))
-      (mu, encoder.sigma(t, lv))
-    }
-    val (distVecs, w2s) = (0 until arity).map { ai =>
-      val (muS, sigS) = encode(sBatches(ai))
-      val (muT, sigT) = encode(tBatches(ai))
-      val dv = t.add(t.square(t.sub(muS, muT)), t.square(t.sub(sigS, sigT)))
-      (dv, t.matmul(dv, ones))
-    }.unzip
-    val features = t.concatCols(distVecs)
-    val logits   = classifier(t, features)
+    val w2   = t.matmul(dist, ones)
+    val distVecs = (0 until arity).map(ai => t.sliceRows(dist, ai * b, (ai + 1) * b))
+    val w2s      = (0 until arity).map(ai => t.sliceRows(w2, ai * b, (ai + 1) * b))
+    val logits   = classifier(t, t.concatCols(distVecs))
     (t.sigmoid(logits), w2s)
   }
 
@@ -88,16 +92,42 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
     }
   }
 
-  /** Inference: match probability for each pair, without a tape. */
+  /** Inference: match probability for each pair, without a tape.
+    *
+    * Pairs share tuples (a pool pairs each tuple with several others, a
+    * query with all its candidates), so each distinct IR array is encoded
+    * once, in one stacked pass, and its (μ, σ) rows are indexed per pair.
+    * Safe to call from several threads on a trained matcher.
+    */
   def predict(pairs: IndexedSeq[PairExample]): Array[Double] = {
     if (pairs.isEmpty) return Array.empty
-    val feats = (0 until arity).map { ai =>
-      val (muS, sigS) = encoder.infer(Mat.fromRows(pairs.map(_.sIrs(ai))))
-      val (muT, sigT) = encoder.infer(Mat.fromRows(pairs.map(_.tIrs(ai))))
-      val dm = muS - muT; val ds = sigS - sigT
-      dm.hadamard(dm) + ds.hadamard(ds)
+    val rowOf    = new java.util.IdentityHashMap[Array[Double], Integer]
+    val distinct = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
+    // Encoder row of each (pair, attribute), pair-major.
+    def rows(side: PairExample => Array[Array[Double]]): Array[Int] =
+      Array.tabulate(pairs.length * arity) { r =>
+        val ir    = side(pairs(r / arity))(r % arity)
+        val known = rowOf.get(ir)
+        if (known != null) known.intValue
+        else { rowOf.put(ir, distinct.length); distinct += ir; distinct.length - 1 }
+      }
+    val sRows = rows(_.sIrs); val tRows = rows(_.tIrs)
+    val (mu, sigma) = encoder.infer(Mat.fromRows(distinct.toSeq))
+    // (pair, attribute) r fills latent-wide block r of the pair-major features.
+    val l     = cfg.latent
+    val feats = Mat.zeros(pairs.length, arity * l)
+    var r = 0
+    while (r < sRows.length) {
+      val s = sRows(r) * l; val u = tRows(r) * l
+      var j = 0
+      while (j < l) {
+        val dm = mu.data(s + j) - mu.data(u + j); val ds = sigma.data(s + j) - sigma.data(u + j)
+        feats.data(r * l + j) = dm * dm + ds * ds
+        j += 1
+      }
+      r += 1
     }
-    classifier.infer(Mat.concatCols(feats)).data.map(v => 1.0 / (1.0 + math.exp(-v)))
+    classifier.infer(feats).data.map(v => 1.0 / (1.0 + math.exp(-v)))
   }
 }
 

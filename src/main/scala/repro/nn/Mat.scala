@@ -13,67 +13,29 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) {
 
   def copy(): Mat = new Mat(rows, cols, data.clone())
 
-  /** Matrix product this(r x k) * that(k x c), cache-friendly i-k-j order. */
+  /** Matrix product this(r x k) * that(k x c), the one product kernel.
+    *
+    * Row i of the result adds this(i, k) · that(k, ·) in ascending k,
+    * skipping zero this(i, k) (ReLU activations are sparse). Rows are
+    * independent, so products of at least [[Mat.ParallelWork]] multiply-adds
+    * split their rows over the ForkJoin pool; each row is still computed by
+    * one task in the same order, and the result does not depend on the
+    * thread count.
+    */
   def *(that: Mat): Mat = {
     require(cols == that.rows, s"matmul ${rows}x$cols * ${that.rows}x${that.cols}")
     val out = Mat.zeros(rows, that.cols)
-    val n   = that.cols
-    var i = 0
-    while (i < rows) {
-      var k = 0
-      while (k < cols) {
-        val a = data(i * cols + k)
-        if (a != 0.0) {
-          val bOff = k * n; val oOff = i * n
-          var j = 0
-          while (j < n) { out.data(oOff + j) += a * that.data(bOff + j); j += 1 }
-        }
-        k += 1
-      }
-      i += 1
-    }
+    if (rows > 1 && Mat.Parallelism > 1 && rows.toLong * cols * that.cols >= Mat.ParallelWork)
+      new Mat.RowBlock(this, that, out, 0, rows, (rows + Mat.Blocks - 1) / Mat.Blocks).invoke()
+    else Mat.mulRows(this, that, out, 0, rows)
     out
   }
 
-  /** this * that.T without materializing the transpose. */
-  def mulT(that: Mat): Mat = {
-    require(cols == that.cols, s"mulT ${rows}x$cols * (${that.rows}x${that.cols}).T")
-    val out = Mat.zeros(rows, that.rows)
-    var i = 0
-    while (i < rows) {
-      var j = 0
-      while (j < that.rows) {
-        var s = 0.0; var k = 0
-        while (k < cols) { s += data(i * cols + k) * that.data(j * cols + k); k += 1 }
-        out.data(i * out.cols + j) = s
-        j += 1
-      }
-      i += 1
-    }
-    out
-  }
+  /** this * that.T */
+  def mulT(that: Mat): Mat = this * that.t
 
-  /** this.T * that without materializing the transpose. */
-  def tMul(that: Mat): Mat = {
-    require(rows == that.rows, s"tMul (${rows}x$cols).T * ${that.rows}x${that.cols}")
-    val out = Mat.zeros(cols, that.cols)
-    val n   = that.cols
-    var k = 0
-    while (k < rows) {
-      var i = 0
-      while (i < cols) {
-        val a = data(k * cols + i)
-        if (a != 0.0) {
-          val bOff = k * n; val oOff = i * n
-          var j = 0
-          while (j < n) { out.data(oOff + j) += a * that.data(bOff + j); j += 1 }
-        }
-        i += 1
-      }
-      k += 1
-    }
-    out
-  }
+  /** this.T * that */
+  def tMul(that: Mat): Mat = t * that
 
   def t: Mat = {
     val out = Mat.zeros(cols, rows)
@@ -150,6 +112,58 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) {
 }
 
 object Mat {
+
+  /** Processors the row split of [[Mat.*]] spreads over. */
+  private[nn] val Parallelism: Int = Runtime.getRuntime.availableProcessors
+
+  /** Products of at least this many multiply-adds split their rows; smaller
+    * ones cost less than handing rows to other threads (the measured
+    * crossover and the products on each side are in DESIGN.md §5).
+    */
+  private[nn] val ParallelWork: Long = 1L << 18
+
+  /** Row blocks per split product: a few per processor, so a busy core's
+    * blocks are taken by idle ones.
+    */
+  private val Blocks: Int = 4 * Parallelism
+
+  /** Rows [from, until) of a * b, written into the same rows of `out`. */
+  private def mulRows(a: Mat, b: Mat, out: Mat, from: Int, until: Int): Unit = {
+    val ad = a.data; val bd = b.data; val od = out.data
+    val k = a.cols; val n = b.cols
+    var i = from
+    while (i < until) {
+      val aOff = i * k; val oOff = i * n
+      var p = 0
+      while (p < k) {
+        val av = ad(aOff + p)
+        if (av != 0.0) {
+          val bOff = p * n
+          var j = 0
+          while (j < n) { od(oOff + j) += av * bd(bOff + j); j += 1 }
+        }
+        p += 1
+      }
+      i += 1
+    }
+  }
+
+  /** Rows [from, until) of a * b, halved until at most `grain` rows. Forked
+    * halves go to the caller's ForkJoin pool, or to the common pool when the
+    * caller is not a pool worker, so nested parallel callers neither
+    * deadlock nor add threads.
+    */
+  private final class RowBlock(a: Mat, b: Mat, out: Mat, from: Int, until: Int, grain: Int)
+      extends java.util.concurrent.RecursiveAction {
+    override def compute(): Unit =
+      if (until - from <= grain) mulRows(a, b, out, from, until)
+      else {
+        val mid = (from + until) >>> 1
+        java.util.concurrent.ForkJoinTask.invokeAll(
+          new RowBlock(a, b, out, from, mid, grain), new RowBlock(a, b, out, mid, until, grain))
+      }
+  }
+
   def zeros(rows: Int, cols: Int): Mat = new Mat(rows, cols, new Array[Double](rows * cols))
 
   def apply(rows: Int, cols: Int)(values: Double*): Mat = {
@@ -179,6 +193,17 @@ object Mat {
       while (i < rows) { System.arraycopy(p.data, i * p.cols, out.data, i * total + off, p.cols); i += 1 }
       off += p.cols
     }
+    out
+  }
+
+  /** Vertical concatenation of same-col-count matrices. */
+  def concatRows(parts: Seq[Mat]): Mat = {
+    require(parts.nonEmpty, "concatRows of nothing")
+    val cols = parts.head.cols
+    require(parts.forall(_.cols == cols), "concatRows col mismatch")
+    val out = zeros(parts.map(_.rows).sum, cols)
+    var off = 0
+    parts.foreach { p => System.arraycopy(p.data, 0, out.data, off, p.data.length); off += p.data.length }
     out
   }
 

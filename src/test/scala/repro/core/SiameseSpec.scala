@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.nn.Rng
+import repro.nn.{Mat, Rng, Tape}
 
 class SiameseSpec extends AnyFunSuite {
 
@@ -69,6 +69,53 @@ class SiameseSpec extends AnyFunSuite {
     val tB = IndexedSeq.tabulate(2)(ai => repro.nn.Mat.fromRows(pairs.map(_.tIrs(ai))))
     val (node, _) = m.forward(t, sB, tB)
     probs.zip(node.value.data).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
+  }
+
+  test("the stacked forward pass equals a per-attribute encoder pass") {
+    val rng = new Rng(16)
+    val m = new Siamese(cfg, 3, rng.split())
+    m.train(taskPairs(32, 3, 17), rng.split())
+    val pairs = taskPairs(10, 3, 18)
+    val sB = IndexedSeq.tabulate(3)(ai => Mat.fromRows(pairs.map(_.sIrs(ai))))
+    val tB = IndexedSeq.tabulate(3)(ai => Mat.fromRows(pairs.map(_.tIrs(ai))))
+    val (prob, w2s) = m.forward(new Tape, sB, tB)
+    val dists = (0 until 3).map { ai =>
+      val (muS, sigS) = m.encoder.infer(sB(ai))
+      val (muT, sigT) = m.encoder.infer(tB(ai))
+      val dm = muS - muT; val ds = sigS - sigT
+      dm.hadamard(dm) + ds.hadamard(ds)
+    }
+    val refProb = m.classifier.infer(Mat.concatCols(dists)).data.map(v => 1.0 / (1.0 + math.exp(-v)))
+    assert(prob.value.data.toSeq == refProb.toSeq)
+    w2s.zip(dists).foreach { case (w2, d) =>
+      assert(w2.value.rows == 10 && w2.value.cols == 1)
+      (0 until 10).foreach(r => assert(w2.value.data(r) == d.row(r).sum))
+    }
+  }
+
+  test("predict over pairs that share IR arrays equals predict over deep copies") {
+    val rng = new Rng(19)
+    val m = new Siamese(cfg, 2, rng.split())
+    m.train(taskPairs(32, 2, 20), rng.split())
+    val tuples = taskPairs(6, 2, 21).map(_.sIrs)
+    val shared = for (i <- tuples.indices; j <- tuples.indices) yield PairExample(tuples(i), tuples(j), 0)
+    val copies = shared.map(p => PairExample(p.sIrs.map(_.clone), p.tIrs.map(_.clone), 0))
+    assert(m.predict(shared).toSeq == m.predict(copies).toSeq)
+  }
+
+  test("concurrent predict calls on one matcher get the sequential answers") {
+    val rng = new Rng(22)
+    val m = new Siamese(cfg.copy(irDim = 64, hidden = 64), 3, rng.split())
+    val pairs = IndexedSeq.tabulate(300) { i =>
+      val r = new Rng(100 + i)
+      PairExample(Array.fill(3)(Array.fill(64)(r.nextGaussian())), Array.fill(3)(Array.fill(64)(r.nextGaussian())), 0)
+    }
+    val expected = m.predict(pairs).toSeq
+    val results = new java.util.concurrent.ConcurrentLinkedQueue[Seq[Double]]
+    val threads = Seq.fill(2)(new Thread(() => (0 until 5).foreach(_ => results.add(m.predict(pairs).toSeq))))
+    threads.foreach(_.start()); threads.foreach(_.join())
+    assert(results.size == 10)
+    results.forEach(r => assert(r == expected))
   }
 
   test("margin dampens the gradient pressure on already-distant negatives") {

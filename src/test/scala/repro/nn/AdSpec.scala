@@ -226,6 +226,17 @@ class AdSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](t.backward(n))
   }
 
+  test("a constant fed to matmul gets no gradient") {
+    val w = param("w", 3, 2, 32)
+    w.zeroGrad()
+    val t = new Tape
+    val x = t.const(Mat.randn(4, 3, new Rng(33)))
+    val y = t.const(Mat.randn(4, 2, new Rng(34)))
+    t.backward(t.sumAll(t.square(t.sub(t.matmul(x, t.param(w)), y))))
+    assert(!x.hasGrad && !y.hasGrad)
+    assert(w.grad.data.exists(_ != 0.0))
+  }
+
   test("const nodes do not propagate into params not on the path") {
     val a = param("a", 2, 2, 30)
     val t = new Tape

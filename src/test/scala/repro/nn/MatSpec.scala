@@ -49,6 +49,76 @@ class MatSpec extends AnyFunSuite {
     }
   }
 
+  // The product loops Mat had before the row kernel, kept as references: the
+  // kernel must reproduce them bit for bit.
+  private def refMul(a: Mat, b: Mat): Mat = {
+    val out = Mat.zeros(a.rows, b.cols)
+    for (i <- 0 until a.rows; k <- 0 until a.cols if a(i, k) != 0.0; j <- 0 until b.cols)
+      out(i, j) += a(i, k) * b(k, j)
+    out
+  }
+
+  private def refMulT(a: Mat, b: Mat): Mat = {
+    val out = Mat.zeros(a.rows, b.rows)
+    for (i <- 0 until a.rows; j <- 0 until b.rows) {
+      var s = 0.0
+      for (k <- 0 until a.cols) s += a(i, k) * b(j, k)
+      out(i, j) = s
+    }
+    out
+  }
+
+  private def refTMul(a: Mat, b: Mat): Mat = {
+    val out = Mat.zeros(a.cols, b.cols)
+    for (k <- 0 until a.rows; i <- 0 until a.cols if a(k, i) != 0.0; j <- 0 until b.cols)
+      out(i, j) += a(k, i) * b(k, j)
+    out
+  }
+
+  private def same(a: Mat, b: Mat): Boolean =
+    a.rows == b.rows && a.cols == b.cols && a.data.toSeq == b.data.toSeq
+
+  /** ReLU output: about half the entries are exact zeros. */
+  private def reluMat(r: Int, c: Int, seed: Long): Mat = randMat(r, c, seed).map(v => if (v > 0) v else 0.0)
+
+  // 300 x 64 * 64 x 64 is above the size at which products split their rows.
+  private val big = reluMat(300, 64, 40)
+  private val sq  = randMat(64, 64, 41)
+
+  test("products above the split size equal the reference loops bit for bit") {
+    assert(300L * 64 * 64 >= Mat.ParallelWork)
+    assert(same(big * sq, refMul(big, sq)))
+    assert(same(sq.mulT(big), refMulT(sq, big)))
+    assert(same(big.mulT(reluMat(200, 64, 42)), refMulT(big, reluMat(200, 64, 42))))
+    assert(same(big.tMul(reluMat(300, 48, 43)), refTMul(big, reluMat(300, 48, 43))))
+  }
+
+  test("small products equal the reference loops bit for bit") {
+    sweep(50) { (r, k, c, seed) =>
+      val a = reluMat(r, k, seed); val b = randMat(k, c, seed + 1)
+      assert(same(a * b, refMul(a, b)))
+      assert(same(a.mulT(b.t), refMulT(a, b.t)))
+      assert(same(a.t.tMul(b), refTMul(a.t, b)))
+    }
+  }
+
+  test("products are the same from inside a one-thread and a three-thread ForkJoin pool") {
+    val expected = refMul(big, sq)
+    Seq(1, 3).foreach { threads =>
+      val pool = new java.util.concurrent.ForkJoinPool(threads)
+      try {
+        val got = pool.submit(new java.util.concurrent.Callable[Mat] { def call(): Mat = big * sq }).get()
+        assert(same(got, expected), s"$threads threads")
+      } finally pool.shutdown()
+    }
+  }
+
+  test("concatRows stacks rows and rejects mismatched widths") {
+    val m = Mat.concatRows(Seq(Mat(1, 2)(1, 2), Mat(2, 2)(3, 4, 5, 6)))
+    assert(m.rows == 3 && m.data.toSeq == Seq(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    intercept[IllegalArgumentException](Mat.concatRows(Seq(Mat.zeros(1, 2), Mat.zeros(1, 3))))
+  }
+
   test("transpose is an involution") {
     sweep(50) { (r, c, _, seed) =>
       val a = randMat(r, c, seed)

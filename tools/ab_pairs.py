@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Compares a parent revision with the current checkout on one benchmark workload.
+
+    python3 tools/ab_pairs.py --parent <rev> --workload <name> --seed <n> [--parent-dir <dir>]
+
+Run it from anywhere inside the checkout. The parent revision is exported
+with `git archive` into --parent-dir (default: a new directory under the
+system's temporary directory); a directory that already holds that revision
+is reused, so its benchmark build is too. The tool then runs ten alternating
+pairs of
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+in the parent's tree and in the checkout, with T the run_seconds of the
+checkout's BENCHMARK.json, the parent first in even pairs and the change
+first in odd ones. It prints for every end-to-end metric of BENCHMARK.json:
+each side's median and quartiles, the change/parent ratio of the medians,
+the pairs the change won out of all pairs run (ties, and pairs whose change
+run gave no result, count as not won), the pairs on which both sides read
+the same value, and the failed operations of each side. A metric shows a
+gain when the change wins at least nine of the ten pairs, the medians differ
+by more than the parent's interquartile range, every change run gave a
+result, and the change runs failed no more operations than the parent runs.
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+REV_MARK = ".ab_pairs_rev"
+PAIRS = 10
+
+
+def git(root, *args):
+    return subprocess.run(["git", *args], cwd=root, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def export_parent(root, rev, dest):
+    """Extracts `rev` into `dest` unless it already holds it; returns the directory."""
+    sha = git(root, "rev-parse", "--verify", rev + "^{commit}")
+    if dest is None:
+        dest = tempfile.mkdtemp(prefix="ab_pairs_")
+    mark = os.path.join(dest, REV_MARK)
+    if os.path.exists(mark):
+        with open(mark) as fh:
+            if fh.read().strip() == sha:
+                return dest
+        sys.exit(f"ab_pairs: {dest} holds another revision; pass an empty or new --parent-dir")
+    os.makedirs(dest, exist_ok=True)
+    if os.listdir(dest):
+        sys.exit(f"ab_pairs: {dest} is not empty; pass an empty or new --parent-dir")
+    archive = subprocess.Popen(["git", "archive", sha], cwd=root, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    if archive.wait() != 0:
+        sys.exit(f"ab_pairs: git archive {sha} failed")
+    with open(mark, "w") as fh:
+        fh.write(sha)
+    return dest
+
+
+def run_once(tree, args, seconds):
+    """One benchmark run in `tree`: (metrics by name, failed count); failed is None if no result."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    p = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    lines = p.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        sys.stderr.write(p.stderr[-2000:])
+        return {}, None
+    return {k: v["value"] for k, v in result["metrics"].items()}, result["failed"]
+
+
+def quartiles(xs):
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", required=True, type=int)
+    ap.add_argument("--parent-dir", help="where to export the parent revision")
+    args = ap.parse_args()
+
+    change = git(os.getcwd(), "rev-parse", "--show-toplevel")
+    parent = export_parent(change, args.parent, args.parent_dir)
+    with open(os.path.join(change, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    seconds = bench["run_seconds"]
+
+    runs = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            values, failed = run_once(parent if side == "parent" else change, args, seconds)
+            runs[side].append((values, failed))
+            shown = " ".join(f"{n}={values[n]:.6g}" for n, _ in metrics if n in values)
+            print(f"pair {i + 1} {side:6} failed={failed} {shown}", flush=True)
+
+    failed = {side: [f for _, f in runs[side]] for side in runs}
+    failed_ops = {side: sum(f for f in failed[side] if f is not None) for side in runs}
+    missing = {side: sum(1 for f in failed[side] if f is None) for side in runs}
+    # A gain needs every change run to give a result and no more failures than the parent.
+    change_ok = missing["change"] == 0 and failed_ops["change"] <= failed_ops["parent"]
+
+    print(f"\n{args.workload} seed {args.seed}, {PAIRS} pairs of {seconds} s, parent {args.parent} in {parent}")
+    print(f"{'metric':18} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6} {'equal':>6}  gain")
+    for name, better in metrics:
+        pairs = [(p[0].get(name), c[0].get(name)) for p, c in zip(runs["parent"], runs["change"])]
+        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+        if not pairs:
+            print(f"{name:18} no results")
+            continue
+        ps, cs = [p for p, _ in pairs], [c for _, c in pairs]
+        pq, cq = quartiles(ps), quartiles(cs)
+        sign = 1 if better == "higher" else -1
+        wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
+        equal = sum(1 for p, c in pairs if p == c)
+        gain = change_ok and wins >= 0.9 * PAIRS and sign * (cq[1] - pq[1]) > pq[2] - pq[0]
+        ratio = cq[1] / pq[1] if pq[1] else float("nan")
+        print(f"{name:18} {pq[1]:12.6g} [{pq[0]:.6g}, {pq[2]:.6g}]".ljust(51)
+              + f" {cq[1]:12.6g} [{cq[0]:.6g}, {cq[2]:.6g}]".ljust(33)
+              + f" {ratio:7.3f} {wins:>2}/{PAIRS:<3} {equal:>2}/{len(pairs):<3}  {'yes' if gain else 'no'}")
+    for side in ("parent", "change"):
+        print(f"failed ({side}): {failed_ops[side]} operations, {missing[side]} runs without a result")
+
+
+if __name__ == "__main__":
+    main()
