@@ -15,16 +15,8 @@ final case class TokenPair(s: IndexedSeq[Array[Int]], t: IndexedSeq[Array[Int]],
   * attribute value. Index 0 is PAD/UNK (kept as a real embedding row).
   */
 final class TokenCorpus(ds: ErDataset, maxLen: Int)(implicit spark: SparkSession) {
-  private def collectAttrs(df: org.apache.spark.sql.DataFrame): Map[Long, IndexedSeq[String]] =
-    df.collect().map { r =>
-      r.getLong(r.fieldIndex("id")) ->
-        (0 until ds.arity).map { i =>
-          val v = r.get(r.fieldIndex(s"a$i")); if (v == null) "" else v.toString
-        }
-    }.toMap
-
-  private val aAttrs = collectAttrs(ds.a)
-  private val bAttrs = collectAttrs(ds.b)
+  private val aAttrs = ds.collectTuples(ds.a).toMap
+  private val bAttrs = ds.collectTuples(ds.b).toMap
 
   val vocab: Map[String, Int] = {
     val words = (aAttrs.valuesIterator ++ bAttrs.valuesIterator)
@@ -44,8 +36,8 @@ final class TokenCorpus(ds: ErDataset, maxLen: Int)(implicit spark: SparkSession
     if (ids.isEmpty) Array(0) else ids
   }
 
-  private val aTok = aAttrs.map { case (id, vs) => id -> vs.map(encodeValue) }
-  private val bTok = bAttrs.map { case (id, vs) => id -> vs.map(encodeValue) }
+  private val aTok = aAttrs.map { case (id, vs) => id -> vs.toIndexedSeq.map(encodeValue) }
+  private val bTok = bAttrs.map { case (id, vs) => id -> vs.toIndexedSeq.map(encodeValue) }
 
   def pair(p: LabeledPair): TokenPair = TokenPair(aTok(p.idA), bTok(p.idB), p.label)
   def pairs(ps: Seq[LabeledPair]): IndexedSeq[TokenPair] = ps.toIndexedSeq.map(pair)

@@ -18,6 +18,7 @@ object AlBootstrap {
       pos: Seq[(Long, Long)], neg: Seq[(Long, Long)], unlabeled: Seq[(Long, Long)],
       removedFalsePositives: Int)
 
+  /** `spark` is unused: the pool is computed on the driver, where `reprs` is. */
   def run(spark: SparkSession,
           reprs: Map[(String, Long), TupleRepr],
           k: Int,
@@ -26,26 +27,13 @@ object AlBootstrap {
           verifyPos: Option[((Long, Long)) => Boolean] = None,
           lshSeed: Long = 0x415EEDL): Bootstrap = {
 
-    val aVecs = reprs.collect { case (("A", id), r) => (id, r.muFlat) }.toSeq.sortBy(_._1)
-    val bVecs = reprs.collect { case (("B", id), r) => (id, r.muFlat) }.toSeq.sortBy(_._1)
+    val aVecs = reprs.collect { case (("A", id), r) => (id, r.muFlat) }.toIndexedSeq.sortBy(_._1)
+    val bVecs = reprs.collect { case (("B", id), r) => (id, r.muFlat) }.toIndexedSeq.sortBy(_._1)
     require(aVecs.nonEmpty && bVecs.nonEmpty, "bootstrap needs both sides")
-    val dim = aVecs.head._2.length
 
-    // LSH candidate pool (lines 3-10): DataFrame bucket join, then top-k.
-    // The p-stable bucket width must sit on the scale of typical pair
-    // distances or buckets become singletons; estimate it from a sample.
-    val sampler = new repro.nn.Rng(lshSeed ^ 0x5A5A5AL)
-    val sampleDists = IndexedSeq.fill(256) {
-      val a = aVecs(sampler.nextInt(aVecs.length))._2
-      val b = bVecs(sampler.nextInt(bVecs.length))._2
-      math.sqrt(repro.er.Knn.sqDist(a, b))
-    }.sorted
-    val medianDist = math.max(sampleDists(sampleDists.length / 2), 1e-6)
-    val cfg = EuclideanLsh.Config(dim, nTables = 8, nBits = 4, width = medianDist, seed = lshSeed)
-    val qDf  = EuclideanLsh.vecDf(spark, aVecs)
-    val iDf  = EuclideanLsh.vecDf(spark, bVecs)
-    val cand = EuclideanLsh.topK(qDf, iDf, k, cfg)
-      .select("qid", "iid").collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    // LSH candidate pool (lines 3-10): each A tuple's top-k bucket-mates on B.
+    val pool = EuclideanLsh.topK(aVecs, bVecs, k, lshConfig(aVecs, bVecs, lshSeed))
+    val cand = aVecs.flatMap { case (ia, _) => pool(ia).map { case (ib, _) => (ia, ib) } }
 
     // W2² for every candidate (lines 11-12 thresholds).
     val withDist = cand.map { case (ia, ib) =>
@@ -74,5 +62,21 @@ object AlBootstrap {
 
     val seeded = (pos ++ neg).toSet
     Bootstrap(pos, neg, withDist.map(_._1).filterNot(seeded), removed)
+  }
+
+  /** The pool's LSH tables. The p-stable bucket width must sit on the scale
+    * of typical pair distances or buckets become singletons; it is the
+    * median distance of a sample of A–B pairs.
+    */
+  private[core] def lshConfig(aVecs: IndexedSeq[(Long, Array[Double])], bVecs: IndexedSeq[(Long, Array[Double])],
+                              lshSeed: Long): EuclideanLsh.Config = {
+    val sampler = new repro.nn.Rng(lshSeed ^ 0x5A5A5AL)
+    val sampleDists = IndexedSeq.fill(256) {
+      val a = aVecs(sampler.nextInt(aVecs.length))._2
+      val b = bVecs(sampler.nextInt(bVecs.length))._2
+      math.sqrt(repro.er.Knn.sqDist(a, b))
+    }.sorted
+    val medianDist = math.max(sampleDists(sampleDists.length / 2), 1e-6)
+    EuclideanLsh.Config(aVecs.head._2.length, nTables = 8, nBits = 4, width = medianDist, seed = lshSeed)
   }
 }

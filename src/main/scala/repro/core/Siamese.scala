@@ -77,6 +77,7 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
     */
   def train(pairs: IndexedSeq[PairExample], rng: Rng): Seq[Double] = {
     require(pairs.nonEmpty, "no training pairs")
+    requireArity(pairs)
     val batchesPerEpoch = (pairs.length + cfg.matchBatch - 1) / cfg.matchBatch
     val epochs = math.max(cfg.matchEpochs, (cfg.matchMinSteps + batchesPerEpoch - 1) / batchesPerEpoch)
     val adam = new Adam(cfg.lr)
@@ -101,6 +102,7 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
     */
   def predict(pairs: IndexedSeq[PairExample]): Array[Double] = {
     if (pairs.isEmpty) return Array.empty
+    requireArity(pairs)
     val rowOf    = new java.util.IdentityHashMap[Array[Double], Integer]
     val distinct = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
     // Encoder row of each (pair, attribute), pair-major.
@@ -128,6 +130,11 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
       r += 1
     }
     classifier.infer(feats).data.map(v => 1.0 / (1.0 + math.exp(-v)))
+  }
+
+  private def requireArity(pairs: IndexedSeq[PairExample]): Unit = pairs.foreach { p =>
+    require(p.sIrs.length == arity && p.tIrs.length == arity,
+      s"a pair has ${p.sIrs.length} and ${p.tIrs.length} attributes; the matcher was built for $arity")
   }
 }
 

@@ -35,8 +35,6 @@ object ErSynth {
       canonical: (Int, Rng) => Array[String],
   ) {
     def noise: Noise = if (clean) CleanNoise else NoisyNoise
-    /** Paper Table II sizes, for reporting next to ours. */
-    def paperRow: String = name
   }
 
   // ---------------------------------------------------------------- pools

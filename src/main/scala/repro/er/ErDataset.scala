@@ -21,6 +21,16 @@ final case class ErDataset(
     test: DataFrame,
 ) {
   def attrCols: Seq[String] = (0 until arity).map(i => s"a$i")
+
+  /** Collect the (id, attribute values) tuples of table `a` or `b`; a null value reads as "". */
+  def collectTuples(df: DataFrame): Seq[(Long, Array[String])] = {
+    val cols = attrCols
+    df.collect().toSeq.map { r =>
+      r.getLong(r.fieldIndex("id")) -> cols.map { c =>
+        val v = r.get(r.fieldIndex(c)); if (v == null) "" else v.toString
+      }.toArray
+    }
+  }
 }
 
 /** A labeled tuple pair materialized on the driver for model training. */

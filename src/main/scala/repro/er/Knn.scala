@@ -5,9 +5,10 @@ import scala.collection.parallel.CollectionConverters._
 /** Exact brute-force top-K nearest neighbours (squared Euclidean).
   *
   * The evaluation-side search of §VI-B runs at scaled cardinalities
-  * (≤ ~5k x ~5k), where an exact driver-side scan is faster than a shuffle;
-  * the DataFrame LSH path ([[repro.lsh.EuclideanLsh]]) is what Algorithm 1
-  * uses and is validated against this reference in tests.
+  * (≤ ~5k x ~5k), where an exact driver-side scan is faster than a shuffle.
+  * Algorithm 1 uses the LSH candidates of [[repro.lsh.EuclideanLsh]]
+  * instead, re-ranked with [[sqDist]] and checked against this reference in
+  * tests.
   */
 object Knn {
 

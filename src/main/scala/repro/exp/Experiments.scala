@@ -8,9 +8,8 @@ import repro.er.{LabeledPair, Prf, TopKEval}
 import repro.ir.{IrProviders, IrSet, LsaIr}
 import repro.nn.Rng
 
-/** The evaluation harness behind every table of §VI. Shared by the
-  * `jobs/` spark-submit entrypoints and the `bench/` suites, which only
-  * differ in how they print/assert the returned rows.
+/** The evaluation harness behind every table of §VI; the `bench/` suites
+  * print and assert the returned rows.
   */
 object Experiments {
 

@@ -1,7 +1,7 @@
 package repro.ir
 
+import java.util.concurrent.ConcurrentHashMap
 import repro.nn.Rng
-import scala.collection.mutable
 
 /** Deterministic character-n-gram hashed word embeddings.
   *
@@ -11,10 +11,11 @@ import scala.collection.mutable
   * plus the whole word, fastText-style. This is corpus-independent and
   * frozen — exactly the property VAER exploits from pre-trained embeddings —
   * and morphologically close words (typos, truncations) land close, which is
-  * the similarity signal the synthetic duplicates carry.
+  * the similarity signal the synthetic duplicates carry. Safe for concurrent
+  * callers: a word's vector depends only on the word and the salt.
   */
 final class HashEmb(val dim: Int, salt: Long = 0x5EEDL) {
-  private val cache = mutable.HashMap.empty[String, Array[Double]]
+  private val cache = new ConcurrentHashMap[String, Array[Double]]
 
   private def ngramVector(gram: String): Array[Double] = {
     // Stable 64-bit FNV-1a of the gram mixed with the salt seeds a local RNG.
@@ -26,7 +27,7 @@ final class HashEmb(val dim: Int, salt: Long = 0x5EEDL) {
   }
 
   /** Frozen vector for one word (cached). */
-  def word(w: String): Array[Double] = cache.getOrElseUpdate(w, {
+  def word(w: String): Array[Double] = cache.computeIfAbsent(w, w => {
     val padded = s"<$w>"
     val out    = new Array[Double](dim)
     var added  = 0

@@ -1,6 +1,6 @@
 package repro.ir
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.er.ErDataset
 import repro.nn.{Mat, Rng}
 import scala.collection.mutable
@@ -32,15 +32,6 @@ trait IrProvider {
   def name: String
   def dim: Int
   def compute(ds: ErDataset)(implicit spark: SparkSession): IrSet
-
-  /** Collect (id, attribute values) tuples from an ER table DataFrame. */
-  protected def collectTuples(df: DataFrame, arity: Int): Seq[(Long, Array[String])] =
-    df.collect().toSeq.map { r =>
-      val id = r.getLong(r.fieldIndex("id"))
-      id -> (0 until arity).map { i =>
-        val v = r.get(r.fieldIndex(s"a$i")); if (v == null) "" else v.toString
-      }.toArray
-    }
 }
 
 /** W2V-style IRs: frozen hashed word embeddings averaged per attribute value
@@ -52,7 +43,7 @@ final class W2vIr(val dim: Int = 64) extends IrProvider {
     val emb = new HashEmb(dim)
     val out = for {
       (side, df) <- Seq("A" -> ds.a, "B" -> ds.b)
-      (id, attrs) <- collectTuples(df, ds.arity)
+      (id, attrs) <- ds.collectTuples(df)
     } yield (side, id) -> attrs.map(emb.sentence)
     IrSet(name, dim, ds.arity, out.toMap)
   }
@@ -107,25 +98,26 @@ final class BertIr(val dim: Int = 64, seed: Long = 0xBE27L) extends IrProvider {
 
     val out = for {
       (side, df) <- Seq("A" -> ds.a, "B" -> ds.b)
-      (id, attrs) <- collectTuples(df, ds.arity)
+      (id, attrs) <- ds.collectTuples(df)
     } yield (side, id) -> attrs.map(encode)
     IrSet(name, dim, ds.arity, out.toMap)
   }
 }
 
-/** LSA IRs: Spark TF-IDF over the corpus of all attribute-value "sentences"
-  * of both tables, then randomized truncated SVD (true LSA, randomized
-  * low-rank step). Each distinct sentence is one document.
+/** LSA IRs: TF-IDF over the corpus of all attribute-value "sentences" of
+  * both tables, then randomized truncated SVD (true LSA, randomized low-rank
+  * step). Each distinct sentence is one document; the corpus is built and
+  * weighted on the driver, where the collected tuples already are.
   */
 final class LsaIr(val dim: Int = 64, seed: Long = 0x15AL) extends IrProvider {
   val name = "LSA"
 
   override def compute(ds: ErDataset)(implicit spark: SparkSession): IrSet = {
     val tuples = Seq("A" -> ds.a, "B" -> ds.b).flatMap { case (side, df) =>
-      collectTuples(df, ds.arity).map { case (id, attrs) => (side, id, attrs) }
+      ds.collectTuples(df).map { case (id, attrs) => (side, id, attrs) }
     }
     // Distinct non-empty sentences -> doc ids.
-    val sentences = tuples.flatMap(_._3).map(Tokenize.sentence).filter(_.nonEmpty).distinct
+    val sentences = tuples.flatMap(_._3).map(Tokenize.sentence).filter(_.nonEmpty).distinct.toIndexedSeq
     val docIdx    = sentences.zipWithIndex.toMap
 
     val empty = new Array[Double](dim)
@@ -134,14 +126,8 @@ final class LsaIr(val dim: Int = 64, seed: Long = 0x15AL) extends IrProvider {
         tuples.map { case (s, id, attrs) => (s, id) -> attrs.map(_ => empty.clone()) }.toMap)
     }
 
-    val docsDf  = TfIdf.docsDf(spark, sentences.zipWithIndex.map { case (s, i) => (i.toLong, s) })
-    val weights = TfIdf.weights(docsDf).cache()
-    val vocabIx = TfIdf.vocab(weights)
-    val sparse  = TfIdf.sparseDocs(weights, vocabIx)
-    weights.unpersist()
-
-    val rows = IndexedSeq.tabulate(sentences.length)(i => sparse.getOrElse(i.toLong, Seq.empty))
-    val emb  = RandSvd.docEmbeddings(rows, vocabIx.size, dim, new Rng(seed))
+    val tfidf = TfIdf.matrix(sentences)
+    val emb   = RandSvd.docEmbeddings(tfidf.rows, tfidf.vocab.size, dim, new Rng(seed))
 
     val docVec: Int => Array[Double] = { i =>
       val v = emb.row(i); HashEmb.l2normalize(v); v
@@ -171,7 +157,7 @@ final class EmbdiIr(val dim: Int = 64, seed: Long = 0xE3BD1L,
   override def compute(ds: ErDataset)(implicit spark: SparkSession): IrSet = {
     val rng = new Rng(seed)
     val tuples = Seq("A" -> ds.a, "B" -> ds.b).flatMap { case (side, df) =>
-      collectTuples(df, ds.arity).map { case (id, attrs) => (side, id, attrs) }
+      ds.collectTuples(df).map { case (id, attrs) => (side, id, attrs) }
     }
 
     // Node universe: tokens, records, attributes.

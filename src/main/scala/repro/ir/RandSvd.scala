@@ -9,8 +9,8 @@ import repro.nn.{Mat, Rng}
   * randomized range finder (Halko et al.): Y = A Ω, one power iteration,
   * Q = orth(Y), B = Qᵀ A, eigendecomposition of B Bᵀ. Deterministic given
   * the seed. Sizes here are small (≤ ~60k docs, ≤ ~30k terms, k ≤ 128) so a
-  * driver-side implementation is appropriate; the TF-IDF inputs themselves
-  * come from Spark (see [[TfIdf]]).
+  * driver-side implementation is appropriate, fed by the driver-side
+  * [[TfIdf.matrix]].
   */
 object RandSvd {
 

@@ -2,16 +2,42 @@ package repro.ir
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
-/** Spark-side TF-IDF over a corpus of documents.
+/** TF-IDF over a corpus of documents, with the smoothed IDF
+  * `tfidf = tf * (ln((N+1)/(df+1)) + 1)` (never negative, never division by
+  * zero).
   *
-  * Input: DataFrame (docId: Long, text: String). Output of [[weights]]:
-  * (docId, term, tf, df, tfidf) with `tfidf = tf * (ln((N+1)/(df+1)) + 1)`
-  * (smoothed IDF — never negative, never division by zero). The token
-  * explosion and the document-frequency aggregation are plain Spark SQL and
-  * are oracle-checked against DuckDB in `TfIdfSpec`.
+  * [[matrix]] is the one implementation: the LSA corpus is a few thousand
+  * short sentences already on the driver. The Spark-side [[termFreq]] and
+  * [[docFreq]] over a (docId: Long, text: String) DataFrame are the reference
+  * it is tested against; they are plain Spark SQL, oracle-checked against
+  * DuckDB in `TfIdfSpec`.
   */
 object TfIdf {
+
+  /** Term-sorted vocabulary and, per document, its (term index, tfidf)
+    * entries in ascending term index.
+    */
+  final case class Matrix(vocab: IndexedSeq[String], rows: IndexedSeq[IndexedSeq[(Int, Double)]])
+
+  /** The TF-IDF matrix of `docs`, counting tf and df in one pass. */
+  def matrix(docs: IndexedSeq[String]): Matrix = {
+    val df = mutable.HashMap.empty[String, Long]
+    val tf = docs.map { d =>
+      val counts = mutable.HashMap.empty[String, Long]
+      Tokenize.tokens(d).foreach { t =>
+        if (!counts.contains(t)) df(t) = df.getOrElse(t, 0L) + 1L
+        counts(t) = counts.getOrElse(t, 0L) + 1L
+      }
+      counts
+    }
+    val vocab = df.keys.toIndexedSeq.sorted
+    val index = vocab.zipWithIndex.toMap
+    // Spark's `log` is StrictMath.log; so is this one, for the same bits.
+    val idf = df.map { case (t, n) => t -> (StrictMath.log((docs.length + 1.0) / (n + 1.0)) + 1.0) }
+    Matrix(vocab, tf.map(_.toIndexedSeq.map { case (t, n) => (index(t), n * idf(t)) }.sortBy(_._1)))
+  }
 
   private val tokensUdf = udf((s: String) => Tokenize.tokens(s))
 
@@ -25,30 +51,6 @@ object TfIdf {
   /** (term, df) document frequencies. */
   def docFreq(tf: DataFrame): DataFrame =
     tf.groupBy("term").agg(countDistinct("docId") as "df")
-
-  /** Full (docId, term, tf, df, tfidf) weights. */
-  def weights(docs: DataFrame): DataFrame = {
-    val n  = docs.count()
-    val tf = termFreq(docs)
-    val df = docFreq(tf)
-    tf.join(df, "term")
-      .withColumn("tfidf", col("tf") * (log((lit(n) + 1.0) / (col("df") + 1.0)) + 1.0))
-      .select("docId", "term", "tf", "df", "tfidf")
-  }
-
-  /** Dense term index (term -> column id), deterministic (sorted by term). */
-  def vocab(weightsDf: DataFrame): Map[String, Int] =
-    weightsDf.select("term").distinct().collect().map(_.getString(0)).sorted.zipWithIndex.toMap
-
-  /** Collect sparse doc vectors: docId -> Seq[(termIdx, tfidf)]. */
-  def sparseDocs(weightsDf: DataFrame, vocabIdx: Map[String, Int]): Map[Long, Seq[(Int, Double)]] =
-    weightsDf
-      .select("docId", "term", "tfidf")
-      .collect()
-      .groupBy(_.getLong(0))
-      .map { case (id, rows) =>
-        id -> rows.toSeq.map(r => (vocabIdx(r.getString(1)), r.getDouble(2)))
-      }
 
   /** Convenience: docs DataFrame from driver-side (id, text) pairs. */
   def docsDf(spark: SparkSession, docs: Seq[(Long, String)]): DataFrame = {

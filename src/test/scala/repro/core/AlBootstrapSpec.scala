@@ -3,6 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.data.ErSynth
 import repro.ir.W2vIr
+import repro.lsh.EuclideanLsh
 import repro.nn.Rng
 
 class AlBootstrapSpec extends SparkSpec {
@@ -64,5 +65,17 @@ class AlBootstrapSpec extends SparkSpec {
     val maxPos = b.pos.map(p => Wasserstein.tupleW2sq(reprs(("A", p._1)), reprs(("B", p._2)))).max
     val minNeg = b.neg.map(p => Wasserstein.tupleW2sq(reprs(("A", p._1)), reprs(("B", p._2)))).min
     assert(maxPos < minNeg, s"maxPos=$maxPos minNeg=$minNeg")
+  }
+
+  test("a pool in which no A tuple shares a bucket with a B tuple gives an empty bootstrap") {
+    // one tuple a side; the bucket width is their distance, and these two
+    // land in different buckets of every table
+    val a = TupleRepr(Array(Array(0.0, 0.0, 0.0)), Array(Array(0.1, 0.1, 0.1)))
+    val b = TupleRepr(Array(Array(1.0, 2.0, -1.0)), Array(Array(0.1, 0.1, 0.1)))
+    val aVecs = IndexedSeq((0L, a.muFlat)); val bVecs = IndexedSeq((0L, b.muFlat))
+    val pool = EuclideanLsh.topK(aVecs, bVecs, 5, AlBootstrap.lshConfig(aVecs, bVecs, 0x415EEDL))
+    assert(pool == Map(0L -> IndexedSeq.empty))
+    val boot = AlBootstrap.run(spark, Map(("A", 0L) -> a, ("B", 0L) -> b), k = 5)
+    assert(boot == AlBootstrap.Bootstrap(Seq.empty, Seq.empty, Seq.empty, 0))
   }
 }

@@ -161,4 +161,29 @@ class SiameseSpec extends AnyFunSuite {
     val m = new Siamese(cfg, 1, new Rng(14))
     assert(m.predict(IndexedSeq.empty).isEmpty)
   }
+
+  /** Pairs for an arity-2 matcher with one attribute too few or too many on one side. */
+  private val badArity: Seq[IndexedSeq[PairExample]] = {
+    val ok = taskPairs(4, 2, 23)
+    def cut(a: Array[Array[Double]]) = a.take(1)
+    def extra(a: Array[Array[Double]]) = a :+ a(0)
+    Seq(ok.map(p => p.copy(sIrs = cut(p.sIrs))), ok.map(p => p.copy(tIrs = cut(p.tIrs))),
+        ok.map(p => p.copy(sIrs = extra(p.sIrs))), ok.map(p => p.copy(tIrs = extra(p.tIrs))))
+  }
+
+  private def assertNamesBothCounts(pairs: IndexedSeq[PairExample], e: IllegalArgumentException): Unit = {
+    val p = pairs.head
+    assert(e.getMessage.contains(s"${p.sIrs.length} and ${p.tIrs.length} attributes"), e.getMessage)
+    assert(e.getMessage.contains("built for 2"), e.getMessage)
+  }
+
+  test("train rejects pairs with too few or too many attributes") {
+    val m = new Siamese(cfg, 2, new Rng(24))
+    badArity.foreach(pairs => assertNamesBothCounts(pairs, intercept[IllegalArgumentException](m.train(pairs, new Rng(25)))))
+  }
+
+  test("predict rejects pairs with too few or too many attributes") {
+    val m = new Siamese(cfg, 2, new Rng(26))
+    badArity.foreach(pairs => assertNamesBothCounts(pairs, intercept[IllegalArgumentException](m.predict(pairs))))
+  }
 }

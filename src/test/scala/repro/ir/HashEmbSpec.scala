@@ -66,4 +66,31 @@ class HashEmbSpec extends AnyFunSuite {
     // for unit vectors: d^2 = 2 - 2cos
     assert(math.abs(d * d - (2 - 2 * cos)) < 1e-9)
   }
+
+  test("concurrent callers of a fresh embedding share one vector per word and get the sequential sentences") {
+    // All threads first ask for the same 2000 words in the same order, so they
+    // race on every miss, then embed 1000 sentences over those words, each
+    // thread in its own order.
+    val words = (0 until 2000).map(i => s"w${i}x${i % 7}")
+    val sentences = (0 until 1000).map(i => (0 until 5).map(j => words((i * 3 + j * 401) % words.length)).mkString(" "))
+    val expected = { val e = new HashEmb(64); sentences.map(e.sentence) }
+    val shared = new HashEmb(64)
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val vecs = new Array[IndexedSeq[Array[Double]]](4)
+    val got  = new Array[IndexedSeq[Array[Double]]](4)
+    def order(t: Int, i: Int) = (i + 250 * t) % sentences.length
+    val threads = got.indices.map { t =>
+      new Thread(() => {
+        start.await()
+        vecs(t) = words.map(shared.word)
+        got(t) = sentences.indices.map(i => shared.sentence(sentences(order(t, i))))
+      })
+    }
+    threads.foreach(_.start()); start.countDown(); threads.foreach(_.join())
+    val twice = for (t <- got.indices; w <- words.indices if !(vecs(t)(w) eq vecs(0)(w))) yield (t, words(w))
+    val nTwice = twice.size
+    assert(nTwice == 0, s"(thread, word) pairs that got a second vector, first five: ${twice.take(5)}")
+    for (t <- got.indices; i <- sentences.indices)
+      assert(java.util.Arrays.equals(got(t)(i), expected(order(t, i))), s"thread $t, sentence $i")
+  }
 }

@@ -1,5 +1,7 @@
 package repro.ir
 
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions.{col, lit}
 import repro.SparkSpec
 import repro.data.ErSynth
 import repro.er.LabeledPair
@@ -44,6 +46,25 @@ class IrProvidersSpec extends SparkSpec {
     val a = p.compute(ds); val b = p.compute(ds)
     val k = a.irs.keys.head
     assert(a.irs(k).flatten.toSeq == b.irs(k).flatten.toSeq)
+  }
+
+  /** `ds` with every attribute value of A replaced by `a` and of B by `b`. */
+  private def withValues(a: Column, b: Column) = ds.copy(
+    a = ds.a.select(col("id") +: ds.attrCols.map(c => a as c): _*),
+    b = ds.b.select(col("id") +: ds.attrCols.map(c => b as c): _*))
+
+  test("LSA on all-empty attribute values gives zero IRs without an SVD") {
+    // The SVD rejects an empty corpus, so an answer shows it did not run.
+    val irs = new LsaIr(16).compute(withValues(lit(null).cast("string"), lit(" !! ")))
+    assert(irs.irs.size == ds.a.count() + ds.b.count())
+    irs.irs.values.foreach(_.foreach(v => assert(v.length == 16 && v.forall(_ == 0.0))))
+  }
+
+  test("LSA on a single distinct sentence gives every value the same unit IR") {
+    val irs = new LsaIr(16).compute(withValues(lit("Golden Dragon"), lit("golden  DRAGON!")))
+    val ir  = irs.irs.values.head.head
+    assert(math.abs(math.sqrt(ir.map(x => x * x).sum) - 1.0) < 1e-9)
+    irs.irs.values.foreach(_.foreach(v => assert(v.toSeq == ir.toSeq)))
   }
 
   test("EmbDI IRs are deterministic across runs") {

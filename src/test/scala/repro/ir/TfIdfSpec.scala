@@ -1,17 +1,31 @@
 package repro.ir
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.data.ErSynth
 
 class TfIdfSpec extends SparkSpec {
 
-  private lazy val docs = TfIdf.docsDf(spark, Seq(
-    (0L, "charlie brown coldplay"),
-    (1L, "charlie brown coldplay grammy"),
-    (2L, "stone ipa stone brewing"),
-    (3L, "ipa"),
-    (4L, "brown stone house"),
-  ))
+  private val texts = IndexedSeq(
+    "charlie brown coldplay", "charlie brown coldplay grammy", "stone ipa stone brewing", "ipa",
+    "brown stone house")
+
+  private lazy val docs = TfIdf.docsDf(spark, texts.zipWithIndex.map { case (t, i) => (i.toLong, t) })
+
+  /** Reference weights: tf * (ln((N+1)/(df+1)) + 1) over Spark's termFreq/docFreq. */
+  private def sparkWeights(docs: DataFrame): Map[(Long, String), Double] = {
+    val n  = docs.count()
+    val tf = TfIdf.termFreq(docs)
+    tf.join(TfIdf.docFreq(tf), "term")
+      .select(col("docId"), col("term"), col("tf") * (log((lit(n) + 1.0) / (col("df") + 1.0)) + 1.0))
+      .collect().map(r => (r.getLong(0), r.getString(1)) -> r.getDouble(2)).toMap
+  }
+
+  private def driverWeights(texts: IndexedSeq[String]): Map[(Long, String), Double] = {
+    val m = TfIdf.matrix(texts)
+    m.rows.zipWithIndex.flatMap { case (row, d) => row.map { case (t, w) => (d.toLong, m.vocab(t)) -> w } }.toMap
+  }
 
   test("termFreq matches DuckDB aggregation (oracle)") {
     val tf = TfIdf.termFreq(docs).select(col("docId"), col("term"), col("tf"))
@@ -40,28 +54,44 @@ class TfIdfSpec extends SparkSpec {
   }
 
   test("tfidf weighs rare terms above common ones") {
-    val w = TfIdf.weights(docs).collect()
-      .map(r => (r.getLong(0), r.getString(1), r.getDouble(4))).toSeq
-    val brownW  = w.find(x => x._1 == 0L && x._2 == "brown").get._3
-    val grammyW = w.find(x => x._1 == 1L && x._2 == "grammy").get._3
+    val w = driverWeights(texts)
+    val brownW  = w((0L, "brown"))
+    val grammyW = w((1L, "grammy"))
     assert(grammyW > brownW, s"grammy=$grammyW brown=$brownW")
   }
 
   test("vocab is a dense deterministic index") {
-    val w = TfIdf.weights(docs)
-    val v = TfIdf.vocab(w)
-    assert(v.values.toSeq.sorted == (0 until v.size))
-    assert(v == TfIdf.vocab(w))
+    val m = TfIdf.matrix(texts)
+    assert(m.vocab == m.vocab.distinct.sorted)
+    assert(m.rows.flatMap(_.map(_._1)).toSet == m.vocab.indices.toSet)
+    assert(m == TfIdf.matrix(texts))
   }
 
-  test("sparseDocs round-trips every (doc, term) weight") {
-    val w  = TfIdf.weights(docs)
-    val v  = TfIdf.vocab(w)
-    val sd = TfIdf.sparseDocs(w, v)
-    assert(sd.keySet == Set(0L, 1L, 2L, 3L, 4L))
+  test("matrix round-trips every (doc, term) weight") {
+    val m = TfIdf.matrix(texts)
+    assert(m.rows.length == texts.length)
     // doc 2 has 3 distinct terms: stone, ipa, brewing
-    assert(sd(2L).size == 3)
-    val stoneIdx = v("stone")
-    assert(sd(2L).exists(_._1 == stoneIdx))
+    assert(m.rows(2).map(e => m.vocab(e._1)).toSet == Set("stone", "ipa", "brewing"))
+    m.rows.foreach(row => assert(row.map(_._1) == row.map(_._1).sorted.distinct))
+    assert(driverWeights(texts).keySet ==
+      texts.zipWithIndex.flatMap { case (t, d) => Tokenize.tokens(t).map(d.toLong -> _) }.toSet)
+  }
+
+  test("matrix equals the tf-idf of Spark's termFreq and docFreq") {
+    assert(driverWeights(texts) == sparkWeights(docs))
+  }
+
+  test("matrix equals Spark's tf-idf on the LSA sentences of a tiny domain") {
+    val ds = ErSynth.generateTiny(spark, "Cit. 2")
+    val sentences = (ds.collectTuples(ds.a) ++ ds.collectTuples(ds.b))
+      .flatMap(_._2).map(Tokenize.sentence).filter(_.nonEmpty).distinct.toIndexedSeq
+    val ref = sparkWeights(TfIdf.docsDf(spark, sentences.zipWithIndex.map { case (t, i) => (i.toLong, t) }))
+    assert(ref.nonEmpty)
+    assert(driverWeights(sentences) == ref)
+  }
+
+  test("matrix of no documents or empty documents is empty") {
+    assert(TfIdf.matrix(IndexedSeq.empty) == TfIdf.Matrix(IndexedSeq.empty, IndexedSeq.empty))
+    assert(TfIdf.matrix(IndexedSeq("", "")) == TfIdf.Matrix(IndexedSeq.empty, IndexedSeq(IndexedSeq.empty, IndexedSeq.empty)))
   }
 }

@@ -21,6 +21,14 @@ the same value, and the failed operations of each side. A metric shows a
 gain when the change wins at least nine of the ten pairs, the medians differ
 by more than the parent's interquartile range, every change run gave a
 result, and the change runs failed no more operations than the parent runs.
+
+It also prints a no-regression verdict for every metric, with the metric's
+bound B from BENCHMARK.json: `ok`; `worse` when the change median is worse
+than the parent median by more than B times the parent median; `unresolved`
+when the parent's interquartile range exceeds B times its median, so the
+spread is too wide to tell, unless every change run reads better than every
+parent run. A metric that is worse by more than its bound reads `worse`
+whatever the spread. One summary line counts the verdicts.
 """
 import argparse
 import json
@@ -82,6 +90,18 @@ def quartiles(xs):
     return q1, med, q3
 
 
+def verdict(ps, cs, pq, cq, better, bound):
+    """No-regression verdict of one metric: ok, worse or unresolved."""
+    sign = 1 if better == "higher" else -1
+    if sign * (pq[1] - cq[1]) > bound * abs(pq[1]):
+        return "worse"
+    if all(sign * (c - p) > 0 for p in ps for c in cs):
+        return "ok"
+    if pq[2] - pq[0] > bound * abs(pq[1]):
+        return "unresolved"
+    return "ok"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="git revision to compare against")
@@ -94,7 +114,7 @@ def main():
     parent = export_parent(change, args.parent, args.parent_dir)
     with open(os.path.join(change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
     seconds = bench["run_seconds"]
 
     runs = {"parent": [], "change": []}
@@ -103,7 +123,7 @@ def main():
         for side in order:
             values, failed = run_once(parent if side == "parent" else change, args, seconds)
             runs[side].append((values, failed))
-            shown = " ".join(f"{n}={values[n]:.6g}" for n, _ in metrics if n in values)
+            shown = " ".join(f"{n}={values[n]:.6g}" for n, _, _ in metrics if n in values)
             print(f"pair {i + 1} {side:6} failed={failed} {shown}", flush=True)
 
     failed = {side: [f for _, f in runs[side]] for side in runs}
@@ -113,12 +133,14 @@ def main():
     change_ok = missing["change"] == 0 and failed_ops["change"] <= failed_ops["parent"]
 
     print(f"\n{args.workload} seed {args.seed}, {PAIRS} pairs of {seconds} s, parent {args.parent} in {parent}")
-    print(f"{'metric':18} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6} {'equal':>6}  gain")
-    for name, better in metrics:
+    print(f"{'metric':18} {'parent median [q1, q3]':>32} {'change median [q1, q3]':>32} {'ratio':>7} {'wins':>6} {'equal':>6}  gain  verdict")
+    verdicts = {}
+    for name, better, bound in metrics:
         pairs = [(p[0].get(name), c[0].get(name)) for p, c in zip(runs["parent"], runs["change"])]
         pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
         if not pairs:
-            print(f"{name:18} no results")
+            verdicts[name] = "unresolved"
+            print(f"{name:18} no results, unresolved")
             continue
         ps, cs = [p for p, _ in pairs], [c for _, c in pairs]
         pq, cq = quartiles(ps), quartiles(cs)
@@ -127,11 +149,15 @@ def main():
         equal = sum(1 for p, c in pairs if p == c)
         gain = change_ok and wins >= 0.9 * PAIRS and sign * (cq[1] - pq[1]) > pq[2] - pq[0]
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
+        verdicts[name] = verdict(ps, cs, pq, cq, better, bound)
         print(f"{name:18} {pq[1]:12.6g} [{pq[0]:.6g}, {pq[2]:.6g}]".ljust(51)
               + f" {cq[1]:12.6g} [{cq[0]:.6g}, {cq[2]:.6g}]".ljust(33)
-              + f" {ratio:7.3f} {wins:>2}/{PAIRS:<3} {equal:>2}/{len(pairs):<3}  {'yes' if gain else 'no'}")
+              + f" {ratio:7.3f} {wins:>2}/{PAIRS:<3} {equal:>2}/{len(pairs):<3}  {'yes' if gain else 'no':4}  {verdicts[name]}")
     for side in ("parent", "change"):
         print(f"failed ({side}): {failed_ops[side]} operations, {missing[side]} runs without a result")
+    counts = {v: [n for n, _, _ in metrics if verdicts[n] == v] for v in ("ok", "worse", "unresolved")}
+    print("no regression: " + ", ".join(f"{len(ns)} {v}" + (f" ({' '.join(ns)})" if ns and v != "ok" else "")
+                                        for v, ns in counts.items()))
 
 
 if __name__ == "__main__":
