@@ -4,6 +4,10 @@ import repro.nn._
 
 /** One training/inference example for the matcher: the per-attribute IRs of
   * the two tuples plus a 0/1 label (label ignored at inference).
+  *
+  * Examples may share IR arrays, and [[Siamese.predict]] keeps the encoding
+  * of each array it sees. An array may be overwritten in place between
+  * calls, which re-encodes it, but not while a call that reads it runs.
   */
 final case class PairExample(sIrs: Array[Array[Double]], tIrs: Array[Array[Double]], label: Int)
 
@@ -16,6 +20,8 @@ final case class PairExample(sIrs: Array[Array[Double]], tIrs: Array[Array[Doubl
   * Eq. 4: binary cross-entropy + margin term on per-attribute W2².
   */
 final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Module {
+  import Siamese.{Encoded, Memo}
+
   val encoder: VariationalEncoder = new VariationalEncoder(cfg, rng)
   val classifier: Mlp = new Mlp(
     Seq(arity * cfg.latent, cfg.matchHidden, 1), Seq("relu", "linear"), rng, "match")
@@ -93,37 +99,57 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
     }
   }
 
+  /** The rows [[predict]] has encoded under the weights copied in `weights`. Guarded by `this`. */
+  private var memo = new Memo(Seq.empty)
+
   /** Inference: match probability for each pair, without a tape.
     *
-    * Pairs share tuples (a pool pairs each tuple with several others, a
-    * query with all its candidates), so each distinct IR array is encoded
-    * once, in one stacked pass, and its (μ, σ) rows are indexed per pair.
-    * Safe to call from several threads on a trained matcher.
+    * Each encoder output row depends only on its input row, so the matcher
+    * keeps the (μ, σ) rows it has encoded, by IR array, and encodes only the
+    * arrays it has not seen, in one stacked pass. A kept row is reused only
+    * while the encoder weights equal the ones it was encoded under and the
+    * array still holds the contents it was encoded from; either check failing
+    * means re-encoding, so a reused row is bit-identical to a fresh one. An
+    * entry is dropped when its array is garbage-collected.
+    *
+    * Safe to call from several threads at once. Weights may be changed in
+    * place (training, `restore`) and IR arrays overwritten between calls, but
+    * not during one.
     */
   def predict(pairs: IndexedSeq[PairExample]): Array[Double] = {
     if (pairs.isEmpty) return Array.empty
     requireArity(pairs)
-    val rowOf    = new java.util.IdentityHashMap[Array[Double], Integer]
-    val distinct = scala.collection.mutable.ArrayBuffer.empty[Array[Double]]
-    // Encoder row of each (pair, attribute), pair-major.
-    def rows(side: PairExample => Array[Array[Double]]): Array[Int] =
-      Array.tabulate(pairs.length * arity) { r =>
-        val ir    = side(pairs(r / arity))(r % arity)
-        val known = rowOf.get(ir)
-        if (known != null) known.intValue
-        else { rowOf.put(ir, distinct.length); distinct += ir; distinct.length - 1 }
-      }
-    val sRows = rows(_.sIrs); val tRows = rows(_.tIrs)
-    val (mu, sigma) = encoder.infer(Mat.fromRows(distinct.toSeq))
+    val fresh = scala.collection.mutable.ArrayBuffer.empty[Encoded]
+    val call  = new AnyRef
+    // The memo's entry for `ir` if this call may use it, else a new entry queued for encoding.
+    def entry(ir: Array[Double]): Encoded = {
+      val e = memo.rows.get(ir)
+      if (e != null && ((e.checkedBy eq call) || (e.mu != null && java.util.Arrays.equals(e.ir, ir)))) {
+        e.checkedBy = call; e
+      } else { val f = new Encoded(ir.clone, call); memo.rows.put(ir, f); fresh += f; f }
+    }
+    // Entry of each (pair, attribute), pair-major.
+    def entries(side: PairExample => Array[Array[Double]]): Array[Encoded] =
+      Array.tabulate(pairs.length * arity)(r => entry(side(pairs(r / arity))(r % arity)))
+    val (sRows, tRows) = synchronized {
+      val weights = encoder.params.map(_.value.data)
+      if (!memo.weights.corresponds(weights)(java.util.Arrays.equals(_, _)))
+        memo = new Memo(weights.map(_.clone))
+      (entries(_.sIrs), entries(_.tIrs))
+    }
+    if (fresh.nonEmpty) {
+      val (mu, sigma) = encoder.infer(Mat.fromRows(fresh.map(_.ir).toSeq))
+      synchronized(fresh.indices.foreach { i => fresh(i).mu = mu.row(i); fresh(i).sigma = sigma.row(i) })
+    }
     // (pair, attribute) r fills latent-wide block r of the pair-major features.
     val l     = cfg.latent
     val feats = Mat.zeros(pairs.length, arity * l)
     var r = 0
     while (r < sRows.length) {
-      val s = sRows(r) * l; val u = tRows(r) * l
+      val s = sRows(r); val u = tRows(r)
       var j = 0
       while (j < l) {
-        val dm = mu.data(s + j) - mu.data(u + j); val ds = sigma.data(s + j) - sigma.data(u + j)
+        val dm = s.mu(j) - u.mu(j); val ds = s.sigma(j) - u.sigma(j)
         feats.data(r * l + j) = dm * dm + ds * ds
         j += 1
       }
@@ -139,6 +165,25 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
 }
 
 object Siamese {
+
+  /** One IR array's encoder output, valid while the array holds `ir`. (μ, σ)
+    * stay null until the predict call that created the entry has encoded it;
+    * until then only that call may use it. `checkedBy` is the last call that
+    * created the entry or found the array's contents equal to `ir`: within
+    * one call the contents do not change, so that call need not compare them
+    * again.
+    */
+  private final class Encoded(val ir: Array[Double], var checkedBy: AnyRef) {
+    var mu: Array[Double]    = _
+    var sigma: Array[Double] = _
+  }
+
+  /** Encoded rows by IR array. Arrays hash by identity, and the map holds them
+    * weakly, so an entry dies with its array.
+    */
+  private final class Memo(val weights: Seq[Array[Double]]) {
+    val rows = new java.util.WeakHashMap[Array[Double], Encoded]
+  }
 
   /** Figure 1, step 2: a matcher initialized from `vae`'s encoder, then trained on `examples`. */
   def fit(cfg: VaerConfig, arity: Int, vae: VaeModel, examples: IndexedSeq[PairExample], rng: Rng): Siamese = {

@@ -18,19 +18,31 @@ object Knn {
     s
   }
 
-  /** For each query id: the k nearest index entries as (id, sqDist), ascending. */
+  /** Ascending (sqDist, id): the order of every answer, ties going to the lower id. */
+  private val Nearer: Ordering[(Long, Double)] = (x: (Long, Double), y: (Long, Double)) => {
+    val c = java.lang.Double.compare(x._2, y._2)
+    if (c != 0) c else java.lang.Long.compare(x._1, y._1)
+  }
+
+  /** For each query id: the k nearest index entries as (id, sqDist), ascending
+    * by distance, then id.
+    *
+    * Queries are scanned in parallel; a single query has nothing to split and
+    * is scanned on the caller's thread.
+    */
   def topK(queries: IndexedSeq[(Long, Array[Double])],
-           index: IndexedSeq[(Long, Array[Double])], k: Int): Map[Long, IndexedSeq[(Long, Double)]] =
-    queries.par.map { case (qid, qv) =>
-      // simple bounded selection: keep the k best seen so far
-      val best = new java.util.PriorityQueue[(Long, Double)](
-        math.max(1, k), (x: (Long, Double), y: (Long, Double)) => java.lang.Double.compare(y._2, x._2))
+           index: IndexedSeq[(Long, Array[Double])], k: Int): Map[Long, IndexedSeq[(Long, Double)]] = {
+    def nearest(q: (Long, Array[Double])): (Long, IndexedSeq[(Long, Double)]) = {
+      // bounded selection: the k best seen so far, the worst on top
+      val best = new java.util.PriorityQueue[(Long, Double)](math.max(1, k), Nearer.reverse)
       index.foreach { case (iid, iv) =>
-        val d = sqDist(qv, iv)
-        if (best.size < k) best.add((iid, d))
-        else if (d < best.peek()._2) { best.poll(); best.add((iid, d)) }
+        val cand = (iid, sqDist(q._2, iv))
+        if (best.size < k) best.add(cand)
+        else if (Nearer.lt(cand, best.peek())) { best.poll(); best.add(cand) }
       }
-      val arr = best.toArray(Array.empty[(Long, Double)]).sortBy(p => (p._2, p._1))
-      qid -> arr.toIndexedSeq
-    }.seq.toMap
+      q._1 -> best.toArray(Array.empty[(Long, Double)]).sorted(Nearer).toIndexedSeq
+    }
+    if (queries.lengthCompare(1) <= 0) queries.map(nearest).toMap
+    else queries.par.map(nearest).seq.toMap
+  }
 }

@@ -118,6 +118,73 @@ class SiameseSpec extends AnyFunSuite {
     results.forEach(r => assert(r == expected))
   }
 
+  /** A trained arity-2 matcher and pairs over six tuples, every tuple in several pairs. */
+  private def sharedTask(seed: Long): (Siamese, IndexedSeq[PairExample]) = {
+    val rng = new Rng(seed)
+    val m = new Siamese(cfg, 2, rng.split())
+    m.train(taskPairs(32, 2, seed + 1), rng.split())
+    val tuples = taskPairs(6, 2, seed + 2).map(_.sIrs)
+    (m, for (i <- tuples.indices; j <- tuples.indices) yield PairExample(tuples(i), tuples(j), 0))
+  }
+
+  /** A matcher that has never predicted, with `m`'s current weights. */
+  private def coldCopy(m: Siamese): Siamese = {
+    val c = new Siamese(cfg, m.arity, new Rng(99))
+    c.restore(m.snapshot())
+    c
+  }
+
+  test("a warm matcher's predict equals a cold matcher's with the same weights, bit for bit") {
+    val (m, pairs) = sharedTask(27)
+    val first = m.predict(pairs.take(10))
+    assert(first sameElements coldCopy(m).predict(pairs.take(10)))
+    val warm = m.predict(pairs)
+    assert(warm sameElements coldCopy(m).predict(pairs))
+    assert(m.predict(pairs) sameElements warm)
+  }
+
+  test("after an in-place weight edit predict equals a fresh matcher restored to the edited weights") {
+    val (m, pairs) = sharedTask(28)
+    val before = m.predict(pairs)
+    m.encoder.hidden.w.value.data(0) += 1.0
+    val after = m.predict(pairs)
+    assert(after sameElements coldCopy(m).predict(pairs))
+    assert(!(after sameElements before))
+  }
+
+  test("after an IR array is overwritten in place predict reflects its new contents") {
+    val (m, pairs) = sharedTask(29)
+    val before = m.predict(pairs)
+    val ir = pairs.head.sIrs(0)
+    val rng = new Rng(30)
+    ir.indices.foreach(i => ir(i) = rng.nextGaussian())
+    val after = m.predict(pairs)
+    val copies = pairs.map(p => PairExample(p.sIrs.map(_.clone), p.tIrs.map(_.clone), 0))
+    assert(after sameElements coldCopy(m).predict(copies))
+    assert(!(after sameElements before))
+  }
+
+  test("two threads predicting on a cold matcher get the sequential answers") {
+    val (m, pairs) = sharedTask(31)
+    val expected = coldCopy(m).predict(pairs).toSeq
+    val rounds = 20
+    val results = new java.util.concurrent.ConcurrentLinkedQueue[Seq[Double]]
+    val start = new java.util.concurrent.CountDownLatch(1)
+    // each round gets fresh arrays, so every round starts from a cold memo entry
+    val threads = Seq.tabulate(2) { t =>
+      new Thread(() => {
+        start.await()
+        (0 until rounds).foreach { k =>
+          val own = if (k % 2 == t) pairs.map(p => PairExample(p.sIrs.map(_.clone), p.tIrs.map(_.clone), 0)) else pairs
+          results.add(m.predict(own).toSeq)
+        }
+      })
+    }
+    threads.foreach(_.start()); start.countDown(); threads.foreach(_.join())
+    assert(results.size == 2 * rounds)
+    results.forEach(r => assert(r == expected))
+  }
+
   test("margin dampens the gradient pressure on already-distant negatives") {
     // loss for a far-apart negative should equal its BCE part only (hinge 0)
     val rng = new Rng(9)

@@ -29,6 +29,10 @@ when the parent's interquartile range exceeds B times its median, so the
 spread is too wide to tell, unless every change run reads better than every
 parent run. A metric that is worse by more than its bound reads `worse`
 whatever the spread. One summary line counts the verdicts.
+
+Last comes a table of every pair's readings, parent then change, for each
+metric, with the side that ran first and each run's failed operations, so a
+pair that stalled shows in the record and not only in a wide quartile range.
 """
 import argparse
 import json
@@ -158,6 +162,19 @@ def main():
     counts = {v: [n for n, _, _ in metrics if verdicts[n] == v] for v in ("ok", "worse", "unresolved")}
     print("no regression: " + ", ".join(f"{len(ns)} {v}" + (f" ({' '.join(ns)})" if ns and v != "ok" else "")
                                         for v, ns in counts.items()))
+    print_pairs(runs, [n for n, _, _ in metrics])
+
+
+def print_pairs(runs, names):
+    """Every pair's parent and change reading of each metric; `-` where a run gave none."""
+    def cell(values, name):
+        return f"{values[name]:.6g}" if name in values else "-"
+    print("\nper pair: parent / change")
+    print(f"{'pair':>4} {'first':6} {'failed':>7}" + "".join(f" {n:>25}" for n in names))
+    for i, ((pv, pf), (cv, cf)) in enumerate(zip(runs["parent"], runs["change"])):
+        first = "parent" if i % 2 == 0 else "change"
+        failed = f"{'-' if pf is None else pf}/{'-' if cf is None else cf}"
+        print(f"{i + 1:>4} {first:6} {failed:>7}" + "".join(f" {cell(pv, n) + ' / ' + cell(cv, n):>25}" for n in names))
 
 
 if __name__ == "__main__":
