@@ -25,17 +25,18 @@ object Knn {
   }
 
   /** For each query id: the k nearest index entries as (id, sqDist), ascending
-    * by distance, then id.
+    * by distance, then id; an empty answer for each query when k = 0.
     *
     * Queries are scanned in parallel; a single query has nothing to split and
     * is scanned on the caller's thread.
     */
   def topK(queries: IndexedSeq[(Long, Array[Double])],
            index: IndexedSeq[(Long, Array[Double])], k: Int): Map[Long, IndexedSeq[(Long, Double)]] = {
+    require(k >= 0, s"k must be non-negative, got $k")
     def nearest(q: (Long, Array[Double])): (Long, IndexedSeq[(Long, Double)]) = {
       // bounded selection: the k best seen so far, the worst on top
       val best = new java.util.PriorityQueue[(Long, Double)](math.max(1, k), Nearer.reverse)
-      index.foreach { case (iid, iv) =>
+      if (k > 0) index.foreach { case (iid, iv) =>
         val cand = (iid, sqDist(q._2, iv))
         if (best.size < k) best.add(cand)
         else if (Nearer.lt(cand, best.peek())) { best.poll(); best.add(cand) }

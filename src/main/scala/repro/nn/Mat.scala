@@ -24,11 +24,8 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) {
     */
   def *(that: Mat): Mat = {
     require(cols == that.rows, s"matmul ${rows}x$cols * ${that.rows}x${that.cols}")
-    val out = Mat.zeros(rows, that.cols)
-    if (rows > 1 && Mat.Parallelism > 1 && rows.toLong * cols * that.cols >= Mat.ParallelWork)
-      new Mat.RowBlock(this, that, out, 0, rows, (rows + Mat.Blocks - 1) / Mat.Blocks).invoke()
-    else Mat.mulRows(this, that, out, 0, rows)
-    out
+    Mat.product(this, that,
+      rows > 1 && Mat.Parallelism > 1 && rows.toLong * cols * that.cols >= Mat.ParallelWork)
   }
 
   /** this * that.T */
@@ -127,25 +124,50 @@ object Mat {
     */
   private val Blocks: Int = 4 * Parallelism
 
-  /** Rows [from, until) of a * b, written into the same rows of `out`. */
-  private def mulRows(a: Mat, b: Mat, out: Mat, from: Int, until: Int): Unit = {
-    val ad = a.data; val bd = b.data; val od = out.data
-    val k = a.cols; val n = b.cols
+  /** a * b, its rows split over the ForkJoin pool when `split`.
+    *
+    * b's rows are copied once into their own arrays, shared read-only by
+    * every row block, so that the kernel's inner loop ([[axpy]]) reads both
+    * arrays at the same index from 0: that is the loop shape HotSpot's C2
+    * vectorizes, which it does not do for two arrays read at two different
+    * offsets. Each output element still gets the same additions in the same
+    * ascending-k order, so the result is bit-identical to the plain i-k-j
+    * loop (DESIGN.md §5).
+    */
+  private[nn] def product(a: Mat, b: Mat, split: Boolean): Mat = {
+    val out   = zeros(a.rows, b.cols)
+    val bRows = Array.tabulate(b.rows)(b.row)
+    if (split) new RowBlock(a, bRows, out, 0, a.rows, (a.rows + Blocks - 1) / Blocks).invoke()
+    else mulRows(a, bRows, out, 0, a.rows)
+    out
+  }
+
+  /** Rows [from, until) of a * b, b given by its rows, written into the same
+    * rows of `out`. Each row is summed in one accumulator and then copied out.
+    */
+  private def mulRows(a: Mat, bRows: Array[Array[Double]], out: Mat, from: Int, until: Int): Unit = {
+    val ad = a.data; val od = out.data
+    val k = a.cols; val n = out.cols
+    val acc = new Array[Double](n)
     var i = from
     while (i < until) {
-      val aOff = i * k; val oOff = i * n
+      java.util.Arrays.fill(acc, 0.0)
+      val aOff = i * k
       var p = 0
       while (p < k) {
         val av = ad(aOff + p)
-        if (av != 0.0) {
-          val bOff = p * n
-          var j = 0
-          while (j < n) { od(oOff + j) += av * bd(bOff + j); j += 1 }
-        }
+        if (av != 0.0) axpy(av, bRows(p), acc)
         p += 1
       }
+      System.arraycopy(acc, 0, od, i * n, n)
       i += 1
     }
+  }
+
+  /** y += a · x, element by element from index 0. */
+  private def axpy(a: Double, x: Array[Double], y: Array[Double]): Unit = {
+    var j = 0
+    while (j < y.length) { y(j) += a * x(j); j += 1 }
   }
 
   /** Rows [from, until) of a * b, halved until at most `grain` rows. Forked
@@ -153,14 +175,14 @@ object Mat {
     * caller is not a pool worker, so nested parallel callers neither
     * deadlock nor add threads.
     */
-  private final class RowBlock(a: Mat, b: Mat, out: Mat, from: Int, until: Int, grain: Int)
+  private final class RowBlock(a: Mat, bRows: Array[Array[Double]], out: Mat, from: Int, until: Int, grain: Int)
       extends java.util.concurrent.RecursiveAction {
     override def compute(): Unit =
-      if (until - from <= grain) mulRows(a, b, out, from, until)
+      if (until - from <= grain) mulRows(a, bRows, out, from, until)
       else {
         val mid = (from + until) >>> 1
         java.util.concurrent.ForkJoinTask.invokeAll(
-          new RowBlock(a, b, out, from, mid, grain), new RowBlock(a, b, out, mid, until, grain))
+          new RowBlock(a, bRows, out, from, mid, grain), new RowBlock(a, bRows, out, mid, until, grain))
       }
   }
 

@@ -72,4 +72,14 @@ class ActiveLearnerSpec extends SparkSpec {
     assert(res.labeledPos.forall(truth.contains))
     assert(res.labeledNeg.forall(p => !truth.contains(p)))
   }
+
+  test("AL from seed negatives only spends its budget with every label correct") {
+    val negOnly = boot.copy(pos = Seq.empty)
+    assert(negOnly.neg.nonEmpty)
+    val res = ActiveLearner.run(cfg, vae, irs, reprs, negOnly, oracle, labelBudget = 20)
+    assert(res.labelsUsed == 20)
+    assert(res.labeledPos.size + res.labeledNeg.size == negOnly.neg.size + 20)
+    assert(res.labeledPos.forall(truth.contains))
+    assert(res.labeledNeg.forall(p => !truth.contains(p)))
+  }
 }

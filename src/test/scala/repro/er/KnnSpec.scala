@@ -72,4 +72,12 @@ class KnnSpec extends AnyFunSuite {
     }
     assert(queries.exists(q => many(q._1).map(_._2).distinct.size < 10), "no tied distances among the answers")
   }
+
+  test("k = 0 gives every query an empty answer and a negative k is rejected") {
+    val index = IndexedSeq((1L, Array(1.0)))
+    assert(Knn.topK(IndexedSeq((0L, Array(0.0))), index, 0) == Map(0L -> IndexedSeq.empty))
+    assert(Knn.topK(IndexedSeq((0L, Array(0.0)), (2L, Array(2.0))), index, 0) ==
+      Map(0L -> IndexedSeq.empty, 2L -> IndexedSeq.empty))
+    intercept[IllegalArgumentException](Knn.topK(IndexedSeq((0L, Array(0.0))), index, -1))
+  }
 }

@@ -113,6 +113,32 @@ class MatSpec extends AnyFunSuite {
     }
   }
 
+  /** m x k x n through `*`, `mulT` and `tMul`, each against its reference loop. */
+  private def assertProductsSame(m: Int, k: Int, n: Int, seed: Long): Unit = {
+    val a = reluMat(m, k, seed); val b = randMat(k, n, seed + 1)
+    assert(same(a * b, refMul(a, b)), s"$m x $k x $n: *")
+    assert(same(a.mulT(b.t), refMulT(a, b.t)), s"$m x $k x $n: mulT")
+    assert(same(a.t.tMul(b), refTMul(a.t, b)), s"$m x $k x $n: tMul")
+  }
+
+  test("an inner dimension of 0 gives the zero matrix of the outer shape") {
+    // no multiply-adds, so never split, however large the result
+    Seq((1, 1), (3, 5), (600, 600)).foreach { case (m, n) =>
+      assert(same(reluMat(m, 0, 44) * randMat(0, n, 45), Mat.zeros(m, n)), s"$m x 0 x $n")
+      assertProductsSame(m, 0, n, 44)
+    }
+  }
+
+  test("one-column products equal the reference loops bit for bit, below and above the split size") {
+    assert(5000L * 64 >= Mat.ParallelWork)
+    Seq((7, 64, 1), (384, 32, 1), (5000, 64, 1)).foreach { case (m, k, n) => assertProductsSame(m, k, n, 46) }
+  }
+
+  test("one-row products equal the reference loops bit for bit, below and above the split size") {
+    assert(1024L * 512 >= Mat.ParallelWork)
+    Seq((1, 64, 64), (1, 1, 1), (1, 1024, 512)).foreach { case (m, k, n) => assertProductsSame(m, k, n, 47) }
+  }
+
   test("concatRows stacks rows and rejects mismatched widths") {
     val m = Mat.concatRows(Seq(Mat(1, 2)(1, 2), Mat(2, 2)(3, 4, 5, 6)))
     assert(m.rows == 3 && m.data.toSeq == Seq(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
