@@ -1,6 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
 import repro.er.{ErDataset, LabeledPair, Metrics, Prf}
 import repro.ir.{HashEmb, Tokenize}
 import repro.nn._
@@ -14,9 +13,11 @@ final case class TokenPair(s: IndexedSeq[Array[Int]], t: IndexedSeq[Array[Int]],
   * a corpus vocabulary over both tables and capped token-id sequences per
   * attribute value. Index 0 is PAD/UNK (kept as a real embedding row).
   */
-final class TokenCorpus(ds: ErDataset, maxLen: Int)(implicit spark: SparkSession) {
-  private val aAttrs = ds.collectTuples(ds.a).toMap
-  private val bAttrs = ds.collectTuples(ds.b).toMap
+final class TokenCorpus(ds: ErDataset, maxLen: Int) {
+  private val (aAttrs, bAttrs) = {
+    val (a, b) = ds.collectTuples().partition(_._1 == "A")
+    (a.map(t => t._2 -> t._3).toMap, b.map(t => t._2 -> t._3).toMap)
+  }
 
   val vocab: Map[String, Int] = {
     val words = (aAttrs.valuesIterator ++ bAttrs.valuesIterator)
@@ -68,10 +69,6 @@ trait BaselineMatcher {
   protected def forwardLogit(t: Tape, ex: TokenPair): Node
   protected def allParams: Seq[Param]
   protected def epochs: Int
-  protected def lr: Double = 0.001
-
-  /** Floor on per-example updates so tiny pools still converge in tests. */
-  protected def minUpdates: Int = 3000
 
   /** Optional convergence cutoff: stop once the epoch loss drops below this.
     * Disabled (0.0) by default — the published baselines train for a fixed
@@ -81,9 +78,10 @@ trait BaselineMatcher {
   protected def earlyStopLoss: Double = 0.0
 
   def trainOn(train: IndexedSeq[TokenPair], rng: Rng): Seq[Double] = {
-    val adam = new Adam(lr)
+    val adam = new Adam(0.001)
     val idx  = Array.tabulate(train.length)(identity)
-    val eff  = math.max(epochs, (minUpdates + train.length - 1) / math.max(1, train.length))
+    // A floor of 3000 per-example updates, so tiny pools still converge in tests.
+    val eff  = math.max(epochs, (3000 + train.length - 1) / math.max(1, train.length))
     val out  = Seq.newBuilder[Double]
     var e = 0
     var stop = false

@@ -13,7 +13,7 @@ import repro.nn._
   * orders of magnitude more expensive to train than VAER's matcher.
   */
 final class DeepEr(corpus: TokenCorpus, arity: Int, rng: Rng,
-                   dim: Int = 64, hidden: Int = 32, override val epochs: Int = 15,
+                   dim: Int = 64, override val epochs: Int = 15,
                    override val earlyStopLoss: Double = 0.0)
     extends BaselineMatcher {
   val name = "DeepER"
@@ -22,7 +22,7 @@ final class DeepEr(corpus: TokenCorpus, arity: Int, rng: Rng,
   private val wIn  = new Param("der.rnn.w", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
   private val wRec = new Param("der.rnn.u", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
   private val bRec = new Param("der.rnn.b", Mat.zeros(1, dim))
-  private val classifier = new Mlp(Seq(arity * 2 * dim, hidden, 1), Seq("relu", "linear"), rng, "der.cls")
+  private val classifier = new Mlp(Seq(arity * 2 * dim, 32, 1), Seq("relu", "linear"), rng, "der.cls")
 
   protected def allParams: Seq[Param] =
     emb.params ++ Seq(wIn, wRec, bRec) ++ classifier.params

@@ -13,7 +13,7 @@ import repro.nn._
   * paper's Table VI.
   */
 final class DeepMatcherM(corpus: TokenCorpus, arity: Int, rng: Rng,
-                         dim: Int = 64, hidden: Int = 32, override val epochs: Int = 15,
+                         dim: Int = 64, override val epochs: Int = 15,
                          override val earlyStopLoss: Double = 0.0)
     extends BaselineMatcher {
   val name = "DM"
@@ -26,7 +26,7 @@ final class DeepMatcherM(corpus: TokenCorpus, arity: Int, rng: Rng,
   private val aggW = new Param("dm.agg.w", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
   private val aggU = new Param("dm.agg.u", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
   private val aggB = new Param("dm.agg.b", Mat.zeros(1, dim))
-  private val classifier = new Mlp(Seq(arity * 2 * dim, hidden, 1), Seq("relu", "linear"), rng, "dm.cls")
+  private val classifier = new Mlp(Seq(arity * 2 * dim, 32, 1), Seq("relu", "linear"), rng, "dm.cls")
   private val invSqrtD = 1.0 / math.sqrt(dim)
 
   protected def allParams: Seq[Param] =

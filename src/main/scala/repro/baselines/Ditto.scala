@@ -12,11 +12,12 @@ import repro.nn._
   * shape at tractable size.
   */
 final class Ditto(corpus: TokenCorpus, arity: Int, rng: Rng,
-                  dim: Int = 64, hidden: Int = 32, maxSeq: Int = 48,
-                  override val epochs: Int = 12,
+                  dim: Int = 64, override val epochs: Int = 12,
                   override val earlyStopLoss: Double = 0.0)
     extends BaselineMatcher {
   val name = "DITTO"
+
+  private val MaxSeq = 48 // serialized pair length cap, in tokens
 
   // vocabulary + [CLS] + [SEP] + one [COL] marker per attribute
   private val clsId = corpus.vocabSize
@@ -41,7 +42,7 @@ final class Ditto(corpus: TokenCorpus, arity: Int, rng: Rng,
   private val wv = new Param("ditto.wv", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
   private val ffn1 = new Dense(dim, 2 * dim, rng, "relu", "ditto.ffn1")
   private val ffn2 = new Dense(2 * dim, dim, rng, "linear", "ditto.ffn2")
-  private val classifier = new Mlp(Seq(4 * dim, hidden, 1), Seq("relu", "linear"), rng, "ditto.cls")
+  private val classifier = new Mlp(Seq(4 * dim, 32, 1), Seq("relu", "linear"), rng, "ditto.cls")
   private val invSqrtD = 1.0 / math.sqrt(dim)
 
   // The "pre-trained LM" embeddings stay frozen (feature-extraction mode);
@@ -57,13 +58,13 @@ final class Ditto(corpus: TokenCorpus, arity: Int, rng: Rng,
     buf += clsId
     var ai = 0
     while (ai < arity) { buf += colId(ai); ex.s(ai).foreach(buf += _); ai += 1 }
-    val halfBudget = maxSeq / 2
+    val halfBudget = MaxSeq / 2
     val sSide = buf.result().take(halfBudget)
     val buf2 = Array.newBuilder[Int]
     buf2 += sepId
     ai = 0
     while (ai < arity) { buf2 += colId(ai); ex.t(ai).foreach(buf2 += _); ai += 1 }
-    val tSide = buf2.result().take(maxSeq - sSide.length)
+    val tSide = buf2.result().take(MaxSeq - sSide.length)
     (sSide ++ tSide, sSide.length)
   }
 

@@ -18,12 +18,13 @@ object AlBootstrap {
       pos: Seq[(Long, Long)], neg: Seq[(Long, Long)], unlabeled: Seq[(Long, Long)],
       removedFalsePositives: Int)
 
+  private val MaxSeeds     = 15   // at most this many seed positives, and as many negatives
+  private val BandFraction = 0.05 // seed band width, as a share of the pool's W2² range
+
   /** `spark` is unused: the pool is computed on the driver, where `reprs` is. */
   def run(spark: SparkSession,
           reprs: Map[(String, Long), TupleRepr],
           k: Int,
-          maxSeeds: Int = 15,
-          bandFraction: Double = 0.05,
           verifyPos: Option[((Long, Long)) => Boolean] = None,
           lshSeed: Long = 0x415EEDL): Bootstrap = {
 
@@ -44,14 +45,14 @@ object AlBootstrap {
 
     val wMin  = withDist.head._2
     val wMax  = withDist.last._2
-    val band  = bandFraction * math.max(wMax - wMin, 1e-12)
+    val band  = BandFraction * math.max(wMax - wMin, 1e-12)
 
-    val posRaw = withDist.takeWhile(_._2 <= wMin + band).take(maxSeeds).map(_._1)
+    val posRaw = withDist.takeWhile(_._2 <= wMin + band).take(MaxSeeds).map(_._1)
     // When every candidate ties, both bands cover the whole pool; a pair
     // already taken as a positive is never also a negative.
     val posSet = posRaw.toSet
     val neg    = withDist.reverse.takeWhile(_._2 >= wMax - band).map(_._1)
-      .filterNot(posSet).take(maxSeeds)
+      .filterNot(posSet).take(MaxSeeds)
 
     val (pos, removed) = verifyPos match {
       case Some(check) =>

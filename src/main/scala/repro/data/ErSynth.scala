@@ -5,6 +5,7 @@ import org.apache.spark.sql.types._
 import repro.er.ErDataset
 import repro.nn.Rng
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Synthetic ER benchmark generator — the offline stand-in for the paper's
   * Table II datasets (DeepMatcher suite + two private Peak AI sets).
@@ -301,7 +302,8 @@ object ErSynth {
         else sp.noise
       (bid.toLong, e, perturbTuple(canon(e), noise, dupRng))
     }
-    val matchPairs = bRows.collect { case (bid, e, _) if e < sp.cardA && dupEntities.contains(e) => (e.toLong, bid) }
+    // Every B entity below cardA is one of dupEntities, so it has a match in A.
+    val matchPairs = bRows.collect { case (bid, e, _) if e < sp.cardA => (e.toLong, bid) }
 
     // Labeled pairs: positives from matches; negatives = sibling (shares a
     // pool-collision token) + random non-matching pairs.
@@ -331,31 +333,19 @@ object ErSynth {
     }
     val (trainPairs, testPairs) = labeled.splitAt(math.min(sp.trainSize, labeled.length - 1))
 
-    def tableDf(rows: Seq[(Long, Array[String])]): DataFrame = {
-      val schema = StructType(
-        StructField("id", LongType, nullable = false) +:
-          (0 until sp.arity).map(i => StructField(s"a$i", StringType, nullable = true)))
-      spark.createDataFrame(
-        spark.sparkContext.parallelize(rows.map { case (id, attrs) => Row.fromSeq(id +: attrs.toSeq) }, 8),
-        schema)
-    }
-    def pairsDf(ps: Seq[(Long, Long, Int)]): DataFrame = {
-      val schema = StructType(Seq(
-        StructField("idA", LongType, nullable = false),
-        StructField("idB", LongType, nullable = false),
-        StructField("label", IntegerType, nullable = false)))
-      spark.createDataFrame(spark.sparkContext.parallelize(ps.map(Row.fromTuple), 4), schema)
-    }
-    val matchesDf = {
-      val schema = StructType(Seq(
-        StructField("idA", LongType, nullable = false),
-        StructField("idB", LongType, nullable = false)))
-      spark.createDataFrame(spark.sparkContext.parallelize(matchPairs.map(Row.fromTuple), 4), schema)
-    }
+    // Local relations over the rows already built here: a collect reads them
+    // back on the driver without a Spark job.
+    import spark.implicits._
+    val tableSchema = StructType(
+      StructField("id", LongType, nullable = false) +:
+        (0 until sp.arity).map(i => StructField(s"a$i", StringType, nullable = true)))
+    def tableDf(rows: Seq[(Long, Array[String])]): DataFrame =
+      spark.createDataFrame(rows.map { case (id, attrs) => Row.fromSeq(id +: attrs.toSeq) }.asJava, tableSchema)
+    def pairsDf(ps: Seq[(Long, Long, Int)]): DataFrame = ps.toDF("idA", "idB", "label")
 
     ErDataset(sp.name, sp.clean, sp.arity,
       tableDf(aRows), tableDf(bRows.map(r => (r._1, r._3))),
-      matchesDf, pairsDf(trainPairs), pairsDf(testPairs.take(sp.testSize)))
+      matchPairs.toDF("idA", "idB"), pairsDf(trainPairs), pairsDf(testPairs.take(sp.testSize)))
   }
 
   /** Small-scale variant for unit tests (cards ≈ /8, splits ≈ /8). */

@@ -22,13 +22,17 @@ final case class ErDataset(
 ) {
   def attrCols: Seq[String] = (0 until arity).map(i => s"a$i")
 
-  /** Collect the (id, attribute values) tuples of table `a` or `b`; a null value reads as "". */
-  def collectTuples(df: DataFrame): Seq[(Long, Array[String])] = {
+  /** The (side, id, attribute values) tuples of A, then of B, each in table
+    * order; a null value reads as "".
+    */
+  def collectTuples(): Seq[(String, Long, Array[String])] = {
     val cols = attrCols
-    df.collect().toSeq.map { r =>
-      r.getLong(r.fieldIndex("id")) -> cols.map { c =>
-        val v = r.get(r.fieldIndex(c)); if (v == null) "" else v.toString
-      }.toArray
+    Seq("A" -> a, "B" -> b).flatMap { case (side, df) =>
+      df.collect().toSeq.map { r =>
+        (side, r.getLong(r.fieldIndex("id")), cols.map { c =>
+          val v = r.get(r.fieldIndex(c)); if (v == null) "" else v.toString
+        }.toArray)
+      }
     }
   }
 }

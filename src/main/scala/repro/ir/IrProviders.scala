@@ -31,6 +31,7 @@ final case class IrSet(name: String, dim: Int, arity: Int,
 trait IrProvider {
   def name: String
   def dim: Int
+  /** `spark` is unused: IRs are computed on the driver; it is kept for callers. */
   def compute(ds: ErDataset)(implicit spark: SparkSession): IrSet
 }
 
@@ -41,11 +42,8 @@ final class W2vIr(val dim: Int = 64) extends IrProvider {
   val name = "W2V"
   override def compute(ds: ErDataset)(implicit spark: SparkSession): IrSet = {
     val emb = new HashEmb(dim)
-    val out = for {
-      (side, df) <- Seq("A" -> ds.a, "B" -> ds.b)
-      (id, attrs) <- ds.collectTuples(df)
-    } yield (side, id) -> attrs.map(emb.sentence)
-    IrSet(name, dim, ds.arity, out.toMap)
+    IrSet(name, dim, ds.arity,
+      ds.collectTuples().map { case (side, id, attrs) => (side, id) -> attrs.map(emb.sentence) }.toMap)
   }
 }
 
@@ -54,12 +52,12 @@ final class W2vIr(val dim: Int = 64) extends IrProvider {
   * + fixed projection + tanh), then mean-pooled. Stand-in for a frozen
   * pre-trained BERT encoder (DESIGN.md substitutions).
   */
-final class BertIr(val dim: Int = 64, seed: Long = 0xBE27L) extends IrProvider {
+final class BertIr(val dim: Int = 64) extends IrProvider {
   val name = "BERT"
 
   override def compute(ds: ErDataset)(implicit spark: SparkSession): IrSet = {
     val emb  = new HashEmb(dim, salt = 0xB0B1L)
-    val proj = Mat.randn(dim, dim, new Rng(seed), math.sqrt(1.0 / dim))
+    val proj = Mat.randn(dim, dim, new Rng(0xBE27L), math.sqrt(1.0 / dim))
 
     def encode(text: String): Array[Double] = {
       val ts = Tokenize.tokens(text)
@@ -96,11 +94,8 @@ final class BertIr(val dim: Int = 64, seed: Long = 0xBE27L) extends IrProvider {
       outV
     }
 
-    val out = for {
-      (side, df) <- Seq("A" -> ds.a, "B" -> ds.b)
-      (id, attrs) <- ds.collectTuples(df)
-    } yield (side, id) -> attrs.map(encode)
-    IrSet(name, dim, ds.arity, out.toMap)
+    IrSet(name, dim, ds.arity,
+      ds.collectTuples().map { case (side, id, attrs) => (side, id) -> attrs.map(encode) }.toMap)
   }
 }
 
@@ -109,13 +104,11 @@ final class BertIr(val dim: Int = 64, seed: Long = 0xBE27L) extends IrProvider {
   * step). Each distinct sentence is one document; the corpus is built and
   * weighted on the driver, where the collected tuples already are.
   */
-final class LsaIr(val dim: Int = 64, seed: Long = 0x15AL) extends IrProvider {
+final class LsaIr(val dim: Int = 64) extends IrProvider {
   val name = "LSA"
 
   override def compute(ds: ErDataset)(implicit spark: SparkSession): IrSet = {
-    val tuples = Seq("A" -> ds.a, "B" -> ds.b).flatMap { case (side, df) =>
-      ds.collectTuples(df).map { case (id, attrs) => (side, id, attrs) }
-    }
+    val tuples = ds.collectTuples()
     // Distinct non-empty sentences -> doc ids.
     val sentences = tuples.flatMap(_._3).map(Tokenize.sentence).filter(_.nonEmpty).distinct.toIndexedSeq
     val docIdx    = sentences.zipWithIndex.toMap
@@ -127,7 +120,7 @@ final class LsaIr(val dim: Int = 64, seed: Long = 0x15AL) extends IrProvider {
     }
 
     val tfidf = TfIdf.matrix(sentences)
-    val emb   = RandSvd.docEmbeddings(tfidf.rows, tfidf.vocab.size, dim, new Rng(seed))
+    val emb   = RandSvd.docEmbeddings(tfidf.rows, tfidf.vocab.size, dim, new Rng(0x15AL))
 
     val docVec: Int => Array[Double] = { i =>
       val v = emb.row(i); HashEmb.l2normalize(v); v
@@ -149,16 +142,15 @@ final class LsaIr(val dim: Int = 64, seed: Long = 0x15AL) extends IrProvider {
   * with negative sampling over the walks, and average token embeddings per
   * attribute value.
   */
-final class EmbdiIr(val dim: Int = 64, seed: Long = 0xE3BD1L,
-                    walksPerNode: Int = 2, walkLen: Int = 12, epochs: Int = 2)
-    extends IrProvider {
+final class EmbdiIr(val dim: Int = 64) extends IrProvider {
   val name = "EmbDI"
+  private val WalksPerNode = 2
+  private val WalkLen      = 12
+  private val Epochs       = 2
 
   override def compute(ds: ErDataset)(implicit spark: SparkSession): IrSet = {
-    val rng = new Rng(seed)
-    val tuples = Seq("A" -> ds.a, "B" -> ds.b).flatMap { case (side, df) =>
-      ds.collectTuples(df).map { case (id, attrs) => (side, id, attrs) }
-    }
+    val rng = new Rng(0xE3BD1L)
+    val tuples = ds.collectTuples()
 
     // Node universe: tokens, records, attributes.
     val nodeIdx = mutable.LinkedHashMap.empty[String, Int]
@@ -193,11 +185,11 @@ final class EmbdiIr(val dim: Int = 64, seed: Long = 0xE3BD1L,
     // Seeded uniform random walks from every node.
     val counts = new Array[Long](n)
     val walks = (0 until n).flatMap { start =>
-      (0 until walksPerNode).map { _ =>
-        val w = new Array[Int](walkLen)
+      (0 until WalksPerNode).map { _ =>
+        val w = new Array[Int](WalkLen)
         var cur = start
         var i = 0
-        while (i < walkLen) {
+        while (i < WalkLen) {
           w(i) = cur
           counts(cur) += 1
           val nbrs = adj.getOrElse(cur, mutable.ArrayBuffer.empty)
@@ -209,7 +201,7 @@ final class EmbdiIr(val dim: Int = 64, seed: Long = 0xE3BD1L,
     }
 
     val sg = new SkipGram(n, dim, rng.split())
-    sg.train(walks, counts, epochs)
+    sg.train(walks, counts, Epochs)
 
     def irOf(side: String, id: Long, ai: Int): Array[Double] = {
       val tNodes = tokenNodesOf.getOrElse((side, id, ai), Seq.empty)

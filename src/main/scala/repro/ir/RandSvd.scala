@@ -14,15 +14,20 @@ import repro.nn.{Mat, Rng}
   */
 object RandSvd {
 
+  private val Oversample = 8  // extra range-finder columns beyond k
+  private val PowerIters = 1
+  private val MaxSweeps  = 50 // Jacobi sweeps, stopping early once the off-diagonal norm is below Tol
+  private val Tol        = 1e-12
+
   /** Sparse row: (termIndex, weight) pairs. */
   type SparseRow = Seq[(Int, Double)]
 
   /** Returns docs x k embedding matrix (rows align with `rows` order). */
   def docEmbeddings(rows: IndexedSeq[SparseRow], vocabSize: Int, k: Int,
-                    rng: Rng, oversample: Int = 8, powerIters: Int = 1): Mat = {
+                    rng: Rng): Mat = {
     val n = rows.length
     require(n > 0, "empty corpus")
-    val r = math.min(k + oversample, math.max(1, math.min(n, vocabSize)))
+    val r = math.min(k + Oversample, math.max(1, math.min(n, vocabSize)))
 
     // Y = A * Omega
     var omega = Mat.randn(vocabSize, r, rng)
@@ -30,7 +35,7 @@ object RandSvd {
 
     // Power iterations: Y <- A * (A^T * orth(Y))
     var it = 0
-    while (it < powerIters) {
+    while (it < PowerIters) {
       val q  = orthonormalize(y)
       val at = mulSparseT(rows, q, vocabSize) // vocab x r
       y = mulSparse(rows, at, r)
@@ -122,7 +127,7 @@ object RandSvd {
   /** Cyclic Jacobi eigendecomposition of a symmetric matrix.
     * Returns (eigenvalues, eigenvector matrix with eigenvectors in columns).
     */
-  def jacobiEigen(sym: Mat, maxSweeps: Int = 50, tol: Double = 1e-12): (Array[Double], Mat) = {
+  def jacobiEigen(sym: Mat): (Array[Double], Mat) = {
     val n = sym.rows
     require(sym.cols == n, "jacobiEigen expects a square matrix")
     val a = sym.copy()
@@ -132,13 +137,13 @@ object RandSvd {
 
     var sweep = 0
     var off   = offDiagNorm(a)
-    while (sweep < maxSweeps && off > tol) {
+    while (sweep < MaxSweeps && off > Tol) {
       var p = 0
       while (p < n - 1) {
         var q = p + 1
         while (q < n) {
           val apq = a(p, q)
-          if (math.abs(apq) > tol) {
+          if (math.abs(apq) > Tol) {
             val theta = (a(q, q) - a(p, p)) / (2.0 * apq)
             val t =
               if (theta == 0.0) 1.0

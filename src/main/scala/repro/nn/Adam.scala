@@ -3,8 +3,10 @@ package repro.nn
 import java.util.IdentityHashMap
 
 /** Adam optimizer (Kingma & Ba). lr = 0.001 per paper Table III. */
-final class Adam(val lr: Double = 0.001, beta1: Double = 0.9,
-                 beta2: Double = 0.999, eps: Double = 1e-8) {
+final class Adam(val lr: Double = 0.001) {
+  private val beta1 = 0.9
+  private val beta2 = 0.999
+  private val eps   = 1e-8
   private final case class State(m: Array[Double], v: Array[Double])
   private val states = new IdentityHashMap[Param, State]()
   private var t = 0

@@ -83,8 +83,8 @@ class TfIdfSpec extends SparkSpec {
 
   test("matrix equals Spark's tf-idf on the LSA sentences of a tiny domain") {
     val ds = ErSynth.generateTiny(spark, "Cit. 2")
-    val sentences = (ds.collectTuples(ds.a) ++ ds.collectTuples(ds.b))
-      .flatMap(_._2).map(Tokenize.sentence).filter(_.nonEmpty).distinct.toIndexedSeq
+    val sentences = ds.collectTuples()
+      .flatMap(_._3).map(Tokenize.sentence).filter(_.nonEmpty).distinct.toIndexedSeq
     val ref = sparkWeights(TfIdf.docsDf(spark, sentences.zipWithIndex.map { case (t, i) => (i.toLong, t) }))
     assert(ref.nonEmpty)
     assert(driverWeights(sentences) == ref)
