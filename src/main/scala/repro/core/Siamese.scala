@@ -37,22 +37,16 @@ final class Siamese(val cfg: VaerConfig, val arity: Int, rng: Rng) extends Modul
     * The encoder is shared across attributes and towers, so all 2·arity
     * attribute batches go through it as one stacked matrix — rows s₀ … s₍ₐ₋₁₎
     * then t₀ … t₍ₐ₋₁₎ — and each encoder output row depends only on its input
-    * row.
+    * row. One node turns the stacked (μ, σ) into the pair-major classifier
+    * input, and each attribute's W2² is the row sum of its block of it.
     */
   def forward(t: Tape, sBatches: IndexedSeq[Mat], tBatches: IndexedSeq[Mat]): (Node, IndexedSeq[Node]) = {
-    val b = sBatches.head.rows
     val (mu, lv) = encoder(t, t.const(Mat.concatRows(sBatches ++ tBatches)))
-    val sigma = encoder.sigma(t, lv)
-    def side(n: Node, first: Int): Node = t.sliceRows(n, first * b, (first + arity) * b)
-    // (μs−μt)² + (σs−σt)² for every attribute at once: arity·B x latent
-    val dist = t.add(t.square(t.sub(side(mu, 0), side(mu, arity))),
-                     t.square(t.sub(side(sigma, 0), side(sigma, arity))))
-    val ones = t.const(new Mat(cfg.latent, 1, Array.fill(cfg.latent)(1.0)))
-    val w2   = t.matmul(dist, ones)
-    val distVecs = (0 until arity).map(ai => t.sliceRows(dist, ai * b, (ai + 1) * b))
-    val w2s      = (0 until arity).map(ai => t.sliceRows(w2, ai * b, (ai + 1) * b))
-    val logits   = classifier(t, t.concatCols(distVecs))
-    (t.sigmoid(logits), w2s)
+    // (μs−μt)² + (σs−σt)² of every attribute: B x arity·latent
+    val dist = t.w2Features(mu, encoder.sigma(t, lv), arity)
+    val l    = cfg.latent
+    val w2s  = (0 until arity).map(ai => t.rowSums(dist, ai * l, (ai + 1) * l))
+    (t.sigmoid(classifier(t, dist)), w2s)
   }
 
   /** Eq. 4 loss over a batch; labels as 0/1 doubles. */

@@ -83,18 +83,35 @@ final class Tape {
     acc(a)(n.grad)
   }
 
-  def relu(a: Node): Node = record(a.value.map(x => if (x > 0) x else 0.0)) { n =>
-    acc(a)(n.grad.zipWith(a.value, (g, x) => if (x > 0) g else 0.0))
+  def relu(a: Node): Node = activate(a, Activation.Relu)
+
+  def sigmoid(a: Node): Node = activate(a, Activation.Sigmoid)
+
+  def tanh(a: Node): Node = activate(a, Activation.Tanh)
+
+  private def activate(a: Node, f: Activation): Node = {
+    val y = a.value.map(f(_))
+    record(y) { n => acc(a)(f.backprop(n.grad, y)) }
   }
 
-  def sigmoid(a: Node): Node = {
-    val s = a.value.map(x => 1.0 / (1.0 + math.exp(-x)))
-    record(s) { n => acc(a)(n.grad.zipWith(s, (g, y) => g * y * (1.0 - y))) }
-  }
-
-  def tanh(a: Node): Node = {
-    val s = a.value.map(math.tanh)
-    record(s) { n => acc(a)(n.grad.zipWith(s, (g, y) => g * (1.0 - y * y))) }
+  /** A dense layer as one node: `f(x · w + b)`, the bias and activation
+    * applied inside the product's row tasks.
+    *
+    * Value and gradients equal those of `matmul`, `addBias` and the
+    * activation op bit for bit (DESIGN.md §5): ∂L/∂z comes from the output,
+    * the bias gradient is the column sum in ascending row order, and the
+    * weight and input gradients `xᵀ · gz` and `gz · wᵀ` are read without
+    * transposing.
+    */
+  def dense(x: Node, w: Param, b: Param, f: Activation): Node = {
+    val wv = w.value
+    val y  = Mat.gemm(x.value, false, wv, false, b.value, f)
+    record(y) { n =>
+      val gz = f.backprop(n.grad, y)
+      b.grad.addInPlace(gz.sumRows)
+      w.grad.addInPlace(x.value.tMul(gz))
+      acc(x)(gz.mulT(wv))
+    }
   }
 
   def exp(a: Node): Node = {
@@ -109,6 +126,79 @@ final class Tape {
 
   def square(a: Node): Node = record(a.value.map(x => x * x)) { n =>
     acc(a)(n.grad.zipWith(a.value, (g, x) => 2.0 * g * x))
+  }
+
+  /** Squared 2-Wasserstein features of stacked Gaussian pairs (Eq. 3), one
+    * node for `(μs − μt)² + (σs − σt)²`.
+    *
+    * `mu` and `sigma` hold 2·blocks row blocks of B rows each; row r of block
+    * q (q < blocks) pairs with row r of block blocks + q. The result is
+    * B x blocks·L (L = mu's width), pair-major: row r holds block q's L
+    * squared differences at columns [q·L, (q + 1)·L). The gradient
+    * `(2.0·g)·d` goes to the first row of each pair, and that times −1.0 to
+    * the second, the arithmetic of `square` over `sub`.
+    */
+  def w2Features(mu: Node, sigma: Node, blocks: Int): Node = {
+    val l  = mu.value.cols
+    val bs = mu.value.rows / (2 * blocks)
+    require(mu.value.rows == 2 * blocks * bs && sigma.value.rows == mu.value.rows && sigma.value.cols == l,
+      s"w2Features: mu ${mu.value.rows}x$l and sigma ${sigma.value.rows}x${sigma.value.cols} in $blocks pairs of blocks")
+    val half = blocks * bs * l
+    // Visits every (block q, row r, column j): s indexes the first side, o the output.
+    def each(f: (Int, Int) => Unit): Unit = {
+      var q = 0
+      while (q < blocks) {
+        var r = 0
+        while (r < bs) {
+          var j = 0
+          while (j < l) { f((q * bs + r) * l + j, (r * blocks + q) * l + j); j += 1 }
+          r += 1
+        }
+        q += 1
+      }
+    }
+    val m = mu.value.data; val sg = sigma.value.data
+    val out = Mat.zeros(bs, blocks * l)
+    each { (s, o) =>
+      val dm = m(s) - m(s + half); val ds = sg(s) - sg(s + half)
+      out.data(o) = dm * dm + ds * ds
+    }
+    record(out) { n =>
+      val g = n.grad.data
+      def side(a: Node, v: Array[Double]): Unit = if (!a.isConst) {
+        val ag = a.grad.data
+        each { (s, o) =>
+          val d = 2.0 * g(o) * (v(s) - v(s + half))
+          ag(s) += d; ag(s + half) += d * -1.0
+        }
+      }
+      side(mu, m); side(sigma, sg)
+    }
+  }
+
+  /** Per-row sum of columns [from, until) in ascending order: rows x 1. */
+  def rowSums(a: Node, from: Int, until: Int): Node = {
+    val v   = a.value
+    val out = Mat.zeros(v.rows, 1)
+    var i = 0
+    while (i < v.rows) {
+      var s = 0.0
+      var j = from
+      while (j < until) { s += v.data(i * v.cols + j); j += 1 }
+      out.data(i) = s
+      i += 1
+    }
+    record(out) { n =>
+      if (!a.isConst) {
+        var i = 0
+        while (i < v.rows) {
+          val g = n.grad.data(i)
+          var j = from
+          while (j < until) { a.grad.data(i * v.cols + j) += g; j += 1 }
+          i += 1
+        }
+      }
+    }
   }
 
   /** Collapse to a 1x1 scalar. */

@@ -20,28 +20,11 @@ final class Dense(val in: Int, val out: Int, rng: Rng,
   val w: Param = new Param(s"$name.w", Mat.randn(in, out, rng, math.sqrt(2.0 / in)))
   val b: Param = new Param(s"$name.b", Mat.zeros(1, out))
 
-  def apply(t: Tape, x: Node): Node = {
-    val z = t.addBias(t.matmul(x, t.param(w)), t.param(b))
-    activation match {
-      case "linear"  => z
-      case "relu"    => t.relu(z)
-      case "sigmoid" => t.sigmoid(z)
-      case "tanh"    => t.tanh(z)
-      case other     => throw new IllegalArgumentException(s"unknown activation $other")
-    }
-  }
+  /** One tape node; throws IllegalArgumentException for an unknown activation. */
+  def apply(t: Tape, x: Node): Node = t.dense(x, w, b, Activation(activation))
 
   /** Tape-free forward pass with the current weights; equals `apply`'s value. */
-  def infer(x: Mat): Mat = {
-    val z = (x * w.value).addRowVector(b.value)
-    activation match {
-      case "linear"  => z
-      case "relu"    => z.map(v => if (v > 0) v else 0.0)
-      case "sigmoid" => z.map(v => 1.0 / (1.0 + math.exp(-v)))
-      case "tanh"    => z.map(math.tanh)
-      case other     => throw new IllegalArgumentException(s"unknown activation $other")
-    }
-  }
+  def infer(x: Mat): Mat = Mat.gemm(x, false, w.value, false, b.value, Activation(activation))
 
   override def params: Seq[Param] = Seq(w, b)
 }

@@ -13,26 +13,14 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) {
 
   def copy(): Mat = new Mat(rows, cols, data.clone())
 
-  /** Matrix product this(r x k) * that(k x c), the one product kernel.
-    *
-    * Row i of the result adds this(i, k) · that(k, ·) in ascending k,
-    * skipping zero this(i, k) (ReLU activations are sparse). Rows are
-    * independent, so products of at least [[Mat.ParallelWork]] multiply-adds
-    * split their rows over the ForkJoin pool; each row is still computed by
-    * one task in the same order, and the result does not depend on the
-    * thread count.
-    */
-  def *(that: Mat): Mat = {
-    require(cols == that.rows, s"matmul ${rows}x$cols * ${that.rows}x${that.cols}")
-    Mat.product(this, that,
-      rows > 1 && Mat.Parallelism > 1 && rows.toLong * cols * that.cols >= Mat.ParallelWork)
-  }
+  /** Matrix product this(r x k) * that(k x c), through [[Mat.gemm]]. */
+  def *(that: Mat): Mat = Mat.gemm(this, false, that, false, null, Activation.Linear)
 
-  /** this * that.T */
-  def mulT(that: Mat): Mat = this * that.t
+  /** this * that.T, without building that.T. */
+  def mulT(that: Mat): Mat = Mat.gemm(this, false, that, true, null, Activation.Linear)
 
-  /** this.T * that */
-  def tMul(that: Mat): Mat = t * that
+  /** this.T * that, without building this.T. */
+  def tMul(that: Mat): Mat = Mat.gemm(this, true, that, false, null, Activation.Linear)
 
   def t: Mat = {
     val out = Mat.zeros(cols, rows)
@@ -94,6 +82,13 @@ final class Mat(val rows: Int, val cols: Int, val data: Array[Double]) {
 
   def row(r: Int): Array[Double] = java.util.Arrays.copyOfRange(data, r * cols, (r + 1) * cols)
 
+  private def column(c: Int): Array[Double] = {
+    val out = new Array[Double](rows)
+    var i = 0
+    while (i < rows) { out(i) = data(i * cols + c); i += 1 }
+    out
+  }
+
   def sliceCols(from: Int, until: Int): Mat = {
     val w   = until - from
     val out = new Array[Double](rows * w)
@@ -124,43 +119,75 @@ object Mat {
     */
   private val Blocks: Int = 4 * Parallelism
 
-  /** a * b, its rows split over the ForkJoin pool when `split`.
+  /** act(op(a) · op(b) + bias), the one product kernel, where op(m) is mᵀ
+    * when m's flag is set and m otherwise; a null bias adds nothing and
+    * applies no activation.
     *
-    * b's rows are copied once into their own arrays, shared read-only by
+    * Row i of the result adds op(a)(i, p) · op(b)(p, ·) in ascending p,
+    * skipping zero op(a)(i, p) (ReLU activations are sparse), then adds the
+    * bias and applies `act` to the finished row. Rows are independent, so
+    * products of at least [[ParallelWork]] multiply-adds split their rows
+    * over the ForkJoin pool; each row is still computed by one task in the
+    * same order, and the result does not depend on the thread count.
+    */
+  private[nn] def gemm(a: Mat, aT: Boolean, b: Mat, bT: Boolean, bias: Mat, act: Activation): Mat = {
+    val (m, k) = if (aT) (a.cols, a.rows) else (a.rows, a.cols)
+    val (kb, n) = if (bT) (b.cols, b.rows) else (b.rows, b.cols)
+    require(k == kb, s"matmul ${m}x$k * ${kb}x$n")
+    require(if (bias == null) act == Activation.Linear else bias.rows == 1 && bias.cols == n,
+      s"a 1x$n bias is needed with ${act.name}")
+    product(a, aT, b, bT, bias, act, m > 1 && Parallelism > 1 && m.toLong * k * n >= ParallelWork)
+  }
+
+  /** [[gemm]] without its checks, its rows split over the ForkJoin pool when `split`.
+    *
+    * op(b)'s rows are copied once into their own arrays, shared read-only by
     * every row block, so that the kernel's inner loop ([[axpy]]) reads both
     * arrays at the same index from 0: that is the loop shape HotSpot's C2
     * vectorizes, which it does not do for two arrays read at two different
-    * offsets. Each output element still gets the same additions in the same
-    * ascending-k order, so the result is bit-identical to the plain i-k-j
-    * loop (DESIGN.md §5).
+    * offsets. op(a) is read in place, a transposed one with a stride. Each
+    * output element still gets the same additions in the same ascending
+    * order, so the result is bit-identical to the plain i-k-j loop over
+    * materialized transposes, followed by a bias add and a map (DESIGN.md §5).
     */
-  private[nn] def product(a: Mat, b: Mat, split: Boolean): Mat = {
-    val out   = zeros(a.rows, b.cols)
-    val bRows = Array.tabulate(b.rows)(b.row)
-    if (split) new RowBlock(a, bRows, out, 0, a.rows, (a.rows + Blocks - 1) / Blocks).invoke()
-    else mulRows(a, bRows, out, 0, a.rows)
+  private[nn] def product(a: Mat, aT: Boolean, b: Mat, bT: Boolean, bias: Mat, act: Activation, split: Boolean): Mat = {
+    val out   = zeros(if (aT) a.cols else a.rows, if (bT) b.rows else b.cols)
+    val bRows = if (bT) Array.tabulate(b.cols)(b.column) else Array.tabulate(b.rows)(b.row)
+    val rows  = new Rows(a, aT, bRows, if (bias == null) null else bias.data, act, out)
+    if (split) new RowBlock(rows, 0, out.rows, (out.rows + Blocks - 1) / Blocks).invoke()
+    else rows.compute(0, out.rows)
     out
   }
 
-  /** Rows [from, until) of a * b, b given by its rows, written into the same
-    * rows of `out`. Each row is summed in one accumulator and then copied out.
-    */
-  private def mulRows(a: Mat, bRows: Array[Array[Double]], out: Mat, from: Int, until: Int): Unit = {
-    val ad = a.data; val od = out.data
-    val k = a.cols; val n = out.cols
-    val acc = new Array[Double](n)
-    var i = from
-    while (i < until) {
-      java.util.Arrays.fill(acc, 0.0)
-      val aOff = i * k
-      var p = 0
-      while (p < k) {
-        val av = ad(aOff + p)
-        if (av != 0.0) axpy(av, bRows(p), acc)
-        p += 1
+  /** The rows of one product: op(a) and op(b) given by its rows, written into `out`. */
+  private final class Rows(a: Mat, aT: Boolean, bRows: Array[Array[Double]], bias: Array[Double],
+                           act: Activation, out: Mat) {
+
+    /** Rows [from, until) of the result. Each row is summed in one accumulator
+      * and then copied, or passed through the bias and activation, into `out`.
+      */
+    def compute(from: Int, until: Int): Unit = {
+      val ad = a.data; val od = out.data
+      val k = bRows.length; val n = out.cols
+      // op(a)(i, p) is ad(i * rowStep + p * colStep)
+      val rowStep = if (aT) 1 else a.cols
+      val colStep = if (aT) a.cols else 1
+      val acc = new Array[Double](n)
+      var i = from
+      while (i < until) {
+        java.util.Arrays.fill(acc, 0.0)
+        var q = i * rowStep
+        var p = 0
+        while (p < k) {
+          val av = ad(q)
+          if (av != 0.0) axpy(av, bRows(p), acc)
+          q += colStep
+          p += 1
+        }
+        if (bias == null) System.arraycopy(acc, 0, od, i * n, n)
+        else act.addBiasApply(acc, bias, od, i * n)
+        i += 1
       }
-      System.arraycopy(acc, 0, od, i * n, n)
-      i += 1
     }
   }
 
@@ -170,19 +197,19 @@ object Mat {
     while (j < y.length) { y(j) += a * x(j); j += 1 }
   }
 
-  /** Rows [from, until) of a * b, halved until at most `grain` rows. Forked
-    * halves go to the caller's ForkJoin pool, or to the common pool when the
-    * caller is not a pool worker, so nested parallel callers neither
-    * deadlock nor add threads.
+  /** Rows [from, until) of a product, halved until at most `grain` rows.
+    * Forked halves go to the caller's ForkJoin pool, or to the common pool
+    * when the caller is not a pool worker, so nested parallel callers
+    * neither deadlock nor add threads.
     */
-  private final class RowBlock(a: Mat, bRows: Array[Array[Double]], out: Mat, from: Int, until: Int, grain: Int)
+  private final class RowBlock(rows: Rows, from: Int, until: Int, grain: Int)
       extends java.util.concurrent.RecursiveAction {
     override def compute(): Unit =
-      if (until - from <= grain) mulRows(a, bRows, out, from, until)
+      if (until - from <= grain) rows.compute(from, until)
       else {
         val mid = (from + until) >>> 1
         java.util.concurrent.ForkJoinTask.invokeAll(
-          new RowBlock(a, bRows, out, from, mid, grain), new RowBlock(a, bRows, out, mid, until, grain))
+          new RowBlock(rows, from, mid, grain), new RowBlock(rows, mid, until, grain))
       }
   }
 

@@ -192,6 +192,30 @@ class AdSpec extends AnyFunSuite {
     })
   }
 
+  test("dense gradients, every activation") {
+    Seq("linear", "relu", "sigmoid", "tanh").foreach { act =>
+      val x = param("x", 4, 3, 35); val w = param("w", 3, 2, 36); val b = param("b", 1, 2, 37)
+      // a linear loss, so that outputs at relu's zero get a non-zero gradient too
+      val r = Mat.randn(4, 2, new Rng(38))
+      checkGrads(Seq(x, w, b), () => {
+        val t = new Tape
+        val l = t.sumAll(t.mul(t.dense(t.param(x), w, b, Activation(act)), t.const(r)))
+        (t, l)
+      })
+    }
+  }
+
+  test("w2Features and rowSums gradients") {
+    val mu = param("mu", 8, 3, 39)
+    val sg = new Param("sigma", Mat.randn(8, 3, new Rng(40)).map(math.exp))
+    checkGrads(Seq(mu, sg), () => {
+      val t = new Tape
+      val f = t.w2Features(t.param(mu), t.param(sg), 2)
+      val l = t.add(t.sumAll(t.square(f)), t.sumAll(t.square(t.rowSums(f, 3, 6))))
+      (t, l)
+    })
+  }
+
   test("composite graph: tiny VAE-style loss") {
     val w1 = param("w1", 4, 3, 24); val w2 = param("w2", 3, 4, 25)
     val x  = Mat.randn(2, 4, new Rng(26))

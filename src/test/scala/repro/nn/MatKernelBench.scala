@@ -1,28 +1,41 @@
 package repro.nn
 
-/** Microbenchmark of the product kernel behind [[Mat.*]], the measurement
-  * behind [[Mat.ParallelWork]] (DESIGN.md §5). Not a test suite; run it on an
-  * otherwise idle machine with
+/** Microbenchmark of the product kernel behind [[Mat.*]], `mulT` and `tMul`,
+  * the measurement behind [[Mat.ParallelWork]] (DESIGN.md §5). Not a test
+  * suite; run it on an otherwise idle machine with
   *
   * {{{
   *   sbt "Test/runMain repro.nn.MatKernelBench"
   * }}}
   *
-  * For each shape m × k × n it times the same product (A a ReLU output, about
-  * half its entries exact zeros; B Gaussian) on the calling thread and split
-  * over the ForkJoin pool, each the median of five samples of at least 50 ms.
-  * It prints, per shape, the single-thread rate in nominal multiply-adds
-  * (m·k·n) and in performed ones (the non-zero A entries times n, what the
-  * zero-skip leaves), and the split/sequential time ratio: below 1 the split
-  * wins.
+  * For each product op(A) · op(B) of shape m × k × n it times the same
+  * product (op(A) a ReLU output, about half its entries exact zeros; op(B)
+  * Gaussian) on the calling thread and split over the ForkJoin pool, each the
+  * median of five samples of at least 50 ms. `A^T` marks an A read transposed
+  * in place (a weight gradient `xᵀ · g`), `B^T` a B copied from its columns
+  * (an input gradient `g · Wᵀ`). It prints, per shape, the single-thread
+  * rate in nominal multiply-adds (m·k·n) and in performed ones (the non-zero
+  * op(A) entries times n, what the zero-skip leaves), and the
+  * split/sequential time ratio: below 1 the split wins.
   */
 object MatKernelBench {
 
-  private val Shapes: Seq[(Int, Int, Int)] = Seq(
+  private final case class Shape(m: Int, k: Int, n: Int, aT: Boolean = false, bT: Boolean = false) {
+    def label: String = s"$m x $k x $n${if (aT) " A^T" else ""}${if (bT) " B^T" else ""}"
+  }
+
+  private val Shapes: Seq[Shape] = Seq(
     (4, 64, 64), (8, 64, 32), (10, 128, 32), (16, 64, 64), (32, 64, 32),
     (32, 64, 64), (64, 64, 32), (64, 32, 64), (44, 64, 64), (48, 64, 64),
     (64, 64, 64), (128, 64, 64), (256, 64, 32), (256, 64, 64), (384, 64, 32),
-    (384, 64, 64), (64, 128, 64), (64, 384, 64), (384, 64, 1))
+    (384, 64, 64), (64, 128, 64), (64, 384, 64), (384, 64, 1), (32, 32, 1)
+  ).map { case (m, k, n) => Shape(m, k, n) } ++ Seq(
+    // weight gradients xᵀ · g: the VAE's, the classifier's first layer, the matcher's encoder
+    (32, 64, 64), (64, 64, 32), (64, 64, 64), (192, 32, 32), (64, 256, 64), (64, 384, 32), (64, 384, 64)
+  ).map { case (m, k, n) => Shape(m, k, n, aT = true) } ++ Seq(
+    // input gradients g · Wᵀ: the VAE's, the classifier's first layer, the matcher's encoder
+    (64, 32, 64), (32, 32, 192), (256, 32, 64), (384, 32, 64)
+  ).map { case (m, k, n) => Shape(m, k, n, bT = true) }
 
   private val Samples  = 5
   private val SampleNs = 50L * 1000 * 1000
@@ -49,18 +62,26 @@ object MatKernelBench {
 
   def main(args: Array[String]): Unit = {
     val rng = new Rng(5)
-    val operands = Shapes.map { case (m, k, n) => (relu(Mat.randn(m, k, rng)), Mat.randn(k, n, rng)) }
+    // (op(A), A as stored, B as stored)
+    val operands = Shapes.map { s =>
+      val opA = relu(Mat.randn(s.m, s.k, rng)); val opB = Mat.randn(s.k, s.n, rng)
+      (opA, if (s.aT) opA.t else opA, if (s.bT) opB.t else opB)
+    }
+    def product(s: Shape, a: Mat, b: Mat, split: Boolean): () => Mat =
+      () => Mat.product(a, s.aT, b, s.bT, null, Activation.Linear, split)
     // JIT warm-up: every shape on both paths before anything is timed.
-    operands.foreach { case (a, b) => Seq(false, true).foreach(s => run(() => Mat.product(a, b, s), 2000)) }
+    Shapes.zip(operands).foreach { case (s, (_, a, b)) =>
+      Seq(false, true).foreach(split => run(product(s, a, b, split), 2000))
+    }
 
     println(s"processors ${Mat.Parallelism}, split at ${Mat.ParallelWork} multiply-adds")
-    println(f"${"m x k x n"}%-14s ${"work"}%9s ${"seq us"}%9s ${"nominal G/s"}%12s ${"performed G/s"}%14s ${"split/seq"}%10s")
-    Shapes.zip(operands).foreach { case ((m, k, n), (a, b)) =>
-      val work      = m.toLong * k * n
-      val performed = a.data.count(_ != 0.0).toLong * n
-      val seq       = timeNs(() => Mat.product(a, b, split = false))
-      val split     = timeNs(() => Mat.product(a, b, split = true))
-      println(f"${s"$m x $k x $n"}%-14s $work%9d ${seq / 1e3}%9.2f ${work / seq}%12.2f ${performed / seq}%14.2f ${split / seq}%10.2f")
+    println(f"${"m x k x n"}%-18s ${"work"}%9s ${"seq us"}%9s ${"nominal G/s"}%12s ${"performed G/s"}%14s ${"split/seq"}%10s")
+    Shapes.zip(operands).foreach { case (s, (opA, a, b)) =>
+      val work      = s.m.toLong * s.k * s.n
+      val performed = opA.data.count(_ != 0.0).toLong * s.n
+      val seq       = timeNs(product(s, a, b, split = false))
+      val split     = timeNs(product(s, a, b, split = true))
+      println(f"${s.label}%-18s $work%9d ${seq / 1e3}%9.2f ${work / seq}%12.2f ${performed / seq}%14.2f ${split / seq}%10.2f")
     }
   }
 }
