@@ -13,8 +13,7 @@ import repro.nn._
   * paper's Table VI.
   */
 final class DeepMatcherM(corpus: TokenCorpus, arity: Int, rng: Rng,
-                         dim: Int = 64, override val epochs: Int = 15,
-                         override val earlyStopLoss: Double = 0.0)
+                         dim: Int = 64, override val epochs: Int = 15)
     extends BaselineMatcher {
   val name = "DM"
 
@@ -23,29 +22,18 @@ final class DeepMatcherM(corpus: TokenCorpus, arity: Int, rng: Rng,
   // DM's hybrid model aggregates the compared vectors with a recurrent
   // summarizer, not a plain mean — this is also what makes it the most
   // expensive baseline, as in the paper's Table VI.
-  private val aggW = new Param("dm.agg.w", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
-  private val aggU = new Param("dm.agg.u", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
-  private val aggB = new Param("dm.agg.b", Mat.zeros(1, dim))
+  private val agg = new Rnn(dim, rng, "dm.agg")
   private val classifier = new Mlp(Seq(arity * 2 * dim, 32, 1), Seq("relu", "linear"), rng, "dm.cls")
   private val invSqrtD = 1.0 / math.sqrt(dim)
 
   protected def allParams: Seq[Param] =
-    emb.params ++ compare.params ++ Seq(aggW, aggU, aggB) ++ classifier.params
+    emb.params ++ compare.params ++ agg.params ++ classifier.params
 
   /** One direction of the decomposable attention: summarize `a` against `b`. */
   private def summarize(t: Tape, a: Node, b: Node): Node = {
     val scores  = t.scale(t.matmulT(a, b), invSqrtD)
     val aligned = t.matmul(t.softmaxRows(scores), b)
-    val cmp     = compare(t, t.concatCols(Seq(a, aligned)))
-    // recurrent aggregation over the compared token vectors
-    var h = t.const(Mat.zeros(1, dim))
-    var i = 0
-    while (i < cmp.value.rows) {
-      val ci = t.sliceRows(cmp, i, i + 1)
-      h = t.tanh(t.add(t.add(t.matmul(ci, t.param(aggW)), t.matmul(h, t.param(aggU))), t.param(aggB)))
-      i += 1
-    }
-    h
+    agg(t, compare(t, t.concatCols(Seq(a, aligned))))
   }
 
   protected def forwardLogit(t: Tape, ex: TokenPair): Node = {

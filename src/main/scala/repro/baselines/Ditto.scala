@@ -8,12 +8,11 @@ import repro.nn._
   * t-tokens …` (DITTO's serialization scheme) and passed through one
   * self-attention transformer block + FFN with residuals; the [CLS] state
   * feeds the classifier. The embedding table is initialized from the frozen
-  * hashed word vectors and *fine-tuned* end-to-end — the BERT-fine-tuning
-  * shape at tractable size.
+  * hashed word vectors and stays frozen; the transformer block and the
+  * classifier are fine-tuned — the BERT-fine-tuning shape at tractable size.
   */
 final class Ditto(corpus: TokenCorpus, arity: Int, rng: Rng,
-                  dim: Int = 64, override val epochs: Int = 12,
-                  override val earlyStopLoss: Double = 0.0)
+                  dim: Int = 64, override val epochs: Int = 12)
     extends BaselineMatcher {
   val name = "DITTO"
 
@@ -23,20 +22,9 @@ final class Ditto(corpus: TokenCorpus, arity: Int, rng: Rng,
   private val clsId = corpus.vocabSize
   private val sepId = corpus.vocabSize + 1
   private def colId(ai: Int) = corpus.vocabSize + 2 + ai
-  private val totalVocab = corpus.vocabSize + 2 + arity
 
-  private val emb = {
-    val e = new EmbeddingTable(totalVocab, dim, rng, "ditto.emb")
-    // word rows from the frozen hashed vectors; marker rows stay random
-    val hash = new repro.ir.HashEmb(dim)
-    var i = 1
-    while (i < corpus.vocabSize) {
-      val v = hash.word(corpus.words(i))
-      System.arraycopy(v, 0, e.table.value.data, i * dim, dim)
-      i += 1
-    }
-    e
-  }
+  private val emb =
+    corpus.pretrainedEmbedding(dim, rng, "ditto.emb", rows = corpus.vocabSize + 2 + arity)
   private val wq = new Param("ditto.wq", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
   private val wk = new Param("ditto.wk", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
   private val wv = new Param("ditto.wv", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))

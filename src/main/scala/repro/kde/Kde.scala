@@ -2,18 +2,17 @@ package repro.kde
 
 /** Univariate Gaussian-kernel density estimator (§V-B.3, Eq. 6 context).
   *
-  * Bandwidth defaults to Silverman's rule of thumb `1.06 σ n^{-1/5}`,
+  * Bandwidth is Silverman's rule of thumb `1.06 σ n^{-1/5}`,
   * floored to avoid degenerate spikes when the sample is nearly constant
   * (the bootstrap positives of Alg. 1 have near-identical distances).
   */
-final class Kde(sample: Array[Double], bandwidthOpt: Option[Double] = None) {
+final class Kde(sample: Array[Double]) {
   require(sample.nonEmpty, "KDE requires a non-empty sample")
 
   private val n    = sample.length
   private val mean = sample.sum / n
   private val sd   = math.sqrt(sample.map(x => (x - mean) * (x - mean)).sum / n)
-  val bandwidth: Double =
-    bandwidthOpt.getOrElse(math.max(1.06 * sd * math.pow(n.toDouble, -0.2), 1e-3))
+  val bandwidth: Double = math.max(1.06 * sd * math.pow(n.toDouble, -0.2), 1e-3)
 
   private val norm = 1.0 / (n * bandwidth * math.sqrt(2.0 * math.Pi))
 

@@ -54,3 +54,24 @@ final class EmbeddingTable(val vocab: Int, val dim: Int, rng: Rng, name: String 
 
   override def params: Seq[Param] = Seq(table)
 }
+
+/** Vanilla recurrent cell `h_t = tanh(x_t W + h_{t-1} U + b)` from h = 0 (used by the baselines). */
+final class Rnn(val dim: Int, rng: Rng, name: String = "rnn") extends Module {
+  val w: Param = new Param(s"$name.w", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
+  val u: Param = new Param(s"$name.u", Mat.randn(dim, dim, rng, math.sqrt(1.0 / dim)))
+  val b: Param = new Param(s"$name.b", Mat.zeros(1, dim))
+
+  /** Runs the cell over the rows of `x` in order; returns the final state. */
+  def apply(t: Tape, x: Node): Node = {
+    var h = t.const(Mat.zeros(1, dim))
+    var i = 0
+    while (i < x.value.rows) {
+      val xi = t.sliceRows(x, i, i + 1)
+      h = t.tanh(t.add(t.add(t.matmul(xi, t.param(w)), t.matmul(h, t.param(u))), t.param(b)))
+      i += 1
+    }
+    h
+  }
+
+  override def params: Seq[Param] = Seq(w, u, b)
+}

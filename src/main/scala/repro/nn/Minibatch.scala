@@ -1,6 +1,6 @@
 package repro.nn
 
-/** Shuffled minibatch epochs, the training loop of the VAE and of the matcher. */
+/** Shuffled minibatch epochs, the training loop of the VAE, the matcher and the baselines. */
 object Minibatch {
 
   /** Runs `epochs` passes over `items`, each a fresh `rng` shuffle cut into

@@ -35,16 +35,21 @@ class BaselineSpec extends SparkSpec {
   }
 
   test("pretrained embedding rows match hashed word vectors") {
-    val emb = corpus.pretrainedEmbedding(16, new Rng(1), "t")
     val hash = new repro.ir.HashEmb(16)
-    val w = corpus.words(1)
-    assert(emb.table.value.row(1).toSeq == hash.word(w).toSeq)
+    // the corpus-sized table and one with 3 extra (marker) rows past the vocabulary
+    for (rows <- Seq(corpus.vocabSize, corpus.vocabSize + 3)) {
+      val emb = corpus.pretrainedEmbedding(16, new Rng(1), "t", rows)
+      assert(emb.table.value.rows == rows)
+      (1 until corpus.vocabSize).foreach { i =>
+        assert(emb.table.value.row(i).toSeq == hash.word(corpus.words(i)).toSeq, s"rows=$rows word $i")
+      }
+    }
   }
 
   for ((mk, nm) <- Seq(
-    ((rng: Rng) => new DeepEr(corpus, ds.arity, rng, dim = 16, epochs = 6, earlyStopLoss = 0.08), "DeepER"),
-    ((rng: Rng) => new DeepMatcherM(corpus, ds.arity, rng, dim = 16, epochs = 6, earlyStopLoss = 0.08), "DM"),
-    ((rng: Rng) => new Ditto(corpus, ds.arity, rng, dim = 16, epochs = 6, earlyStopLoss = 0.08), "DITTO"))) {
+    ((rng: Rng) => new DeepEr(corpus, ds.arity, rng, dim = 16, epochs = 6), "DeepER"),
+    ((rng: Rng) => new DeepMatcherM(corpus, ds.arity, rng, dim = 16, epochs = 6), "DM"),
+    ((rng: Rng) => new Ditto(corpus, ds.arity, rng, dim = 16, epochs = 6), "DITTO"))) {
 
     test(s"$nm: training reduces the loss") {
       val rng = new Rng(42)

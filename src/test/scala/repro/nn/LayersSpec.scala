@@ -95,6 +95,19 @@ class LayersSpec extends AnyFunSuite {
     assert(emb.table.value.row(2).exists(v => math.abs(v) > 1e-3))
   }
 
+  test("Rnn's final state equals the hand-unrolled tanh(x_t W + h U + b)") {
+    val rnn = new Rnn(4, new Rng(10))
+    rnn.b.value = Mat.randn(1, 4, new Rng(11)) // a nonzero bias, so b's term is checked too
+    val x = Mat.randn(5, 4, new Rng(12))
+    val t = new Tape
+    val got = rnn(t, t.const(x)).value
+    var h = Mat.zeros(1, 4)
+    (0 until x.rows).foreach { i =>
+      h = (Mat.rowVector(x.row(i)) * rnn.w.value + h * rnn.u.value + rnn.b.value).map(math.tanh)
+    }
+    assert(got.rows == 1 && got.data.toSeq == h.data.toSeq)
+  }
+
   test("snapshot/restore round-trips parameter values") {
     val d = new Dense(3, 3, new Rng(7))
     val snap = d.snapshot()
